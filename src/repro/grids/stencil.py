@@ -50,6 +50,54 @@ def kinetic_offdiagonal(h: float, mass: float = M_ELECTRON) -> float:
     return -0.5 * kinetic_diagonal(h, mass)
 
 
+def periodic_neighbor_sum(u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """``out[i] = u[i-1] + u[i+1]`` along ``axis``, with periodic wrap.
+
+    The slice form of ``np.roll(u, 1, axis) + np.roll(u, -1, axis)``:
+    every element adds the same two operands in the same order, so the
+    result is bit-identical, but no rolled copy of the field is made.
+    ``out`` is caller-owned workspace of ``u``'s shape and dtype; it must
+    not overlap ``u``.  Returns ``out``.
+    """
+    axis = range(u.ndim)[axis]
+    n = u.shape[axis]
+    lead = (slice(None),) * axis
+    np.add(u[lead + (slice(None, -2),)], u[lead + (slice(2, None),)],
+           out=out[lead + (slice(1, -1),)])
+    # The two wrapped ends (i = 0 and i = n-1); modular indices keep
+    # n = 1 and n = 2 right.
+    up, dn = 1 % n, (n - 2) % n
+    np.add(u[lead + (slice(n - 1, n),)], u[lead + (slice(up, up + 1),)],
+           out=out[lead + (slice(0, 1),)])
+    np.add(u[lead + (slice(dn, dn + 1),)], u[lead + (slice(0, 1),)],
+           out=out[lead + (slice(n - 1, n),)])
+    return out
+
+
+def apply_fd_kinetic(
+    psi: np.ndarray, spacing: Tuple[float, float, float], mass: float = M_ELECTRON
+) -> np.ndarray:
+    """T|psi> with the periodic 3-point stencil on the first three axes.
+
+    ``psi`` is a single field (nx, ny, nz) or SoA orbitals (nx, ny, nz,
+    norb).  Per axis it adds ``d psi[i] + o (psi[i-1] + psi[i+1])`` onto
+    a zero-initialised complex128 accumulator; the two work buffers are
+    allocated once, outside the axis loop.
+    """
+    out = np.zeros_like(psi, dtype=np.complex128)
+    nb = np.empty_like(psi)
+    term = np.empty_like(psi)
+    for axis in range(3):
+        d = kinetic_diagonal(spacing[axis], mass)
+        o = -0.5 * d
+        periodic_neighbor_sum(psi, axis, nb)
+        np.multiply(o, nb, out=nb)
+        np.multiply(d, psi, out=term)
+        np.add(term, nb, out=term)
+        out += term
+    return out
+
+
 def kinetic_matrix_1d(
     n: int, h: float, mass: float = M_ELECTRON, theta: float = 0.0
 ) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.constants import HBAR, M_ELECTRON
+from repro.grids.stencil import apply_fd_kinetic
 from repro.lfd.nonlocal_corr import NonlocalCorrector
 from repro.lfd.wavefunction import WaveFunctionSet
 
@@ -23,14 +24,7 @@ def apply_kinetic(wf: WaveFunctionSet, mass: float = M_ELECTRON) -> np.ndarray:
 
     Returns T|psi> as an SoA array of the same shape as ``wf.psi``.
     """
-    psi = wf.psi
-    out = np.zeros_like(psi, dtype=np.complex128)
-    for axis in range(3):
-        h = wf.grid.spacing[axis]
-        d = HBAR * HBAR / (mass * h * h)
-        o = -0.5 * d
-        out += d * psi + o * (np.roll(psi, 1, axis=axis) + np.roll(psi, -1, axis=axis))
-    return out
+    return apply_fd_kinetic(wf.psi, wf.grid.spacing, mass)
 
 
 def band_energies(

@@ -19,11 +19,22 @@ from typing import Any, Union
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend, to_numpy
+from repro.grids.stencil import periodic_neighbor_sum
 
 
-def _axis_full_weight(f: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the 1-D full-weighting filter [1/4, 1/2, 1/4] along ``axis``."""
-    return 0.5 * f + 0.25 * (np.roll(f, 1, axis=axis) + np.roll(f, -1, axis=axis))
+def _axis_full_weight(
+    f: np.ndarray, axis: int, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Apply the 1-D full-weighting filter [1/4, 1/2, 1/4] along ``axis``.
+
+    Writes into ``out``; ``work`` is scratch of the same shape.  Neither
+    may overlap ``f``.  Returns ``out``.
+    """
+    periodic_neighbor_sum(f, axis, work)
+    np.multiply(0.25, work, out=work)
+    np.multiply(0.5, f, out=out)
+    np.add(out, work, out=out)
+    return out
 
 
 def restrict_full_weighting_xp(xp: Any, fine: Any) -> Any:
@@ -81,9 +92,13 @@ def restrict_full_weighting(
         raise ValueError("expected a 3-D field")
     if any(n % 2 != 0 for n in fine.shape):
         raise ValueError(f"cannot restrict odd-sized field {fine.shape}")
+    work = np.empty_like(fine)
+    # Ping-pong between two buffers: axis 0 reads ``fine``, each later
+    # axis reads the previous axis' output.
+    ping, pong = np.empty_like(fine), np.empty_like(fine)
     out = fine
-    for axis in range(3):
-        out = _axis_full_weight(out, axis)
+    for axis, dst in zip(range(3), (ping, pong, ping)):
+        out = _axis_full_weight(out, axis, dst, work)
     return out[::2, ::2, ::2].copy()
 
 
@@ -110,6 +125,9 @@ def prolong_trilinear(
         raise ValueError(
             f"fine shape {fine_shape} is not double the coarse shape {coarse.shape}"
         )
+    # Neighbour-sum scratch for every axis: a prefix of one fine-sized
+    # buffer, reshaped per axis (the field doubles along one axis a pass).
+    work = np.empty(2 * 2 * 2 * coarse.size, dtype=coarse.dtype)
     out = coarse
     for axis in range(3):
         n = out.shape[axis]
@@ -121,6 +139,11 @@ def prolong_trilinear(
         even[axis] = slice(0, 2 * n, 2)
         odd[axis] = slice(1, 2 * n, 2)
         up[tuple(even)] = out
-        up[tuple(odd)] = 0.5 * (out + np.roll(out, -1, axis=axis))
+        # Odd point 2j+1 lies between the copies of coarse j and j+1, so
+        # its neighbour sum on ``up`` is out[j] + out[j+1] (the odd
+        # entries are zeroed first: they are read at the even points).
+        up[tuple(odd)] = 0.0
+        nb = periodic_neighbor_sum(up, axis, work[:up.size].reshape(up.shape))
+        np.multiply(0.5, nb[tuple(odd)], out=up[tuple(odd)])
         out = up
     return out

@@ -46,13 +46,17 @@ def rayleigh_quotients(ham: KSHamiltonian, wf: WaveFunctionSet) -> np.ndarray:
 
 
 def _orthogonalize_against(
-    psi: np.ndarray, basis: np.ndarray, dvol: float
+    psi: np.ndarray, basis: np.ndarray, basis_h: np.ndarray, dvol: float
 ) -> np.ndarray:
-    """Project psi orthogonal to the columns of ``basis`` ((Ngrid, k))."""
+    """Project psi orthogonal to the columns of ``basis`` ((Ngrid, k)).
+
+    ``basis_h`` is ``basis.conj().T``, conjugated once by the caller for
+    all the projections of a band.
+    """
     if basis.shape[1] == 0:
         return psi
     flat = psi.ravel()
-    coeff = (basis.conj().T @ flat) * dvol
+    coeff = (basis_h @ flat) * dvol
     return (flat - basis @ coeff).reshape(psi.shape)
 
 
@@ -76,9 +80,11 @@ def cg_eigensolve(
     mat = wf.as_matrix()
     for s in range(wf.norb):
         lower = mat[:, :s]
+        # The lower bands stay fixed while band s is refined.
+        lower_h = lower.conj().T
         psi = wf.orbital(s).astype(np.complex128)
         for _ in range(ncg):
-            psi = _orthogonalize_against(psi, lower, dvol)
+            psi = _orthogonalize_against(psi, lower, lower_h, dvol)
             nrm = np.sqrt(np.real(np.vdot(psi, psi)) * dvol)
             if nrm == 0.0:
                 raise RuntimeError(f"band {s} collapsed to zero during CG")
@@ -87,7 +93,7 @@ def cg_eigensolve(
             lam = np.real(np.vdot(psi, hpsi)) * dvol
             resid = hpsi - lam * psi
             d = _precondition(resid, kin_eigs, e_ref=abs(lam) + 1.0)
-            d = _orthogonalize_against(d, lower, dvol)
+            d = _orthogonalize_against(d, lower, lower_h, dvol)
             # Orthogonalize the search direction against psi itself.
             d -= (np.vdot(psi, d) * dvol) * psi
             dn = np.sqrt(np.real(np.vdot(d, d)) * dvol)
@@ -109,7 +115,7 @@ def cg_eigensolve(
                 theta += 0.5 * np.pi
                 cand = np.cos(theta) * psi + np.sin(theta) * d
             psi = cand
-        psi = _orthogonalize_against(psi, lower, dvol)
+        psi = _orthogonalize_against(psi, lower, lower_h, dvol)
         psi /= np.sqrt(np.real(np.vdot(psi, psi)) * dvol)
         wf.set_orbital(s, psi.astype(wf.dtype, copy=False))
         mat = wf.as_matrix()

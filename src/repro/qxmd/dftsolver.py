@@ -181,15 +181,27 @@ class GlobalDCSolver:
             self.executor = SerialBackend(seed=self.seed)
         return self.executor
 
-    def _domain_setup(self, dom: Domain, atom_idx: List[int]) -> DomainState:
-        """Build one domain's orbitals, occupations and projectors."""
+    def _domain_setup(
+        self, dom: Domain, atom_idx: List[int],
+        warm: Optional[WaveFunctionSet] = None,
+    ) -> DomainState:
+        """Build one domain's orbitals, occupations and projectors.
+
+        The orbitals are a copy of ``warm`` when its orbital count still
+        matches, else the seeded random start.  The copy matters: the
+        caller's previous orbitals stay live (surface hopping overlaps
+        them with the new ones).
+        """
         local_species = [self.species[i] for i in atom_idx]
         local_pos = self.positions[atom_idx] if atom_idx else np.zeros((0, 3))
         nelec = sum(sp.zval for sp in local_species)
         norb = max(1, int(np.ceil(nelec / 2.0)) + self.norb_extra)
         occ = default_occupations(nelec, norb)
-        solver = DomainSolver(dom, norb, seed=self.seed)
-        wf = solver.initial_wavefunctions()
+        if warm is not None and warm.norb == norb:
+            wf = WaveFunctionSet(dom.local_grid, norb)
+            wf.psi[...] = warm.psi
+        else:
+            wf = DomainSolver(dom, norb, seed=self.seed).initial_wavefunctions()
         kb = (
             KBProjectorSet(dom.local_grid, local_pos, local_species)
             if (self.include_nonlocal and atom_idx)
@@ -218,16 +230,15 @@ class GlobalDCSolver:
         rho_ion = ionic_density(grid, self.positions, self.species)
         v_core = core_repulsion_potential(grid, self.positions, self.species)
         nelec_total = sum(sp.zval for sp in self.species)
+        ndomains = len(self.owners)
+        if warm_wfs is None:
+            warm_wfs = [None] * ndomains
+        elif len(warm_wfs) != ndomains:
+            raise ValueError("need one warm wavefunction set per domain")
         states = [
-            self._domain_setup(dom, idx)
-            for dom, idx in zip(self.decomposition, self.owners)
+            self._domain_setup(dom, idx, warm)
+            for dom, idx, warm in zip(self.decomposition, self.owners, warm_wfs)
         ]
-        if warm_wfs is not None:
-            if len(warm_wfs) != len(states):
-                raise ValueError("need one warm wavefunction set per domain")
-            for st, warm in zip(states, warm_wfs):
-                if warm is not None and warm.norb == st.wf.norb:
-                    st.wf.psi[...] = warm.psi
         # Neutral-atom guess for the global electron density.
         rho_e = rho_ion * (nelec_total / (float(rho_ion.sum()) * grid.dvol))
         v_global = grid.zeros()

@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.constants import HBAR, M_ELECTRON
+from repro.constants import M_ELECTRON
 from repro.grids.grid import Grid3D
+from repro.grids.stencil import apply_fd_kinetic
 from repro.lfd.wavefunction import WaveFunctionSet
 from repro.pseudo.kb import KBProjectorSet
 
@@ -46,15 +47,7 @@ class KSHamiltonian:
     # ------------------------------------------------------------------ #
     def apply_kinetic(self, psi: np.ndarray) -> np.ndarray:
         """T|psi> with the 3-point stencil, for SoA or single-orbital data."""
-        out = np.zeros_like(psi, dtype=np.complex128)
-        for axis in range(3):
-            h = self.grid.spacing[axis]
-            d = HBAR * HBAR / (self.mass * h * h)
-            o = -0.5 * d
-            out += d * psi + o * (
-                np.roll(psi, 1, axis=axis) + np.roll(psi, -1, axis=axis)
-            )
-        return out
+        return apply_fd_kinetic(psi, self.grid.spacing, self.mass)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H|psi>.  ``psi`` is either (nx,ny,nz) or SoA (nx,ny,nz,norb)."""
@@ -64,9 +57,10 @@ class KSHamiltonian:
             vpsi = self.vloc * psi
         else:
             raise ValueError("psi must be a 3-D field or SoA orbital array")
-        out = self.apply_kinetic(psi) + vpsi
+        out = self.apply_kinetic(psi)
+        out += vpsi
         if self.kb is not None:
-            out = out + self.kb.apply(np.asarray(psi, dtype=np.complex128))
+            out += self.kb.apply(np.asarray(psi, dtype=np.complex128))
         return out
 
     def apply_wf(self, wf: WaveFunctionSet) -> np.ndarray:

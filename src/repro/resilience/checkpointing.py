@@ -2,8 +2,9 @@
 
 The plain :mod:`repro.core.checkpoint` format is a single ``.npz`` that
 is written in place -- a crash mid-write leaves a truncated archive, and
-a bit flip on disk is only discovered (if ever) as a cryptic ``zlib``
-error at restart.  Production resilience needs three properties:
+a bit flip on disk is only discovered at restart, as a zip CRC-32 error
+from the member it lands in, once the load is already under way.
+Production resilience needs three properties:
 
 * **atomicity** -- the archive is written to a hidden temporary file in
   the same directory and published with ``os.replace``, so a checkpoint

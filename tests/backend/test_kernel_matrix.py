@@ -3,7 +3,8 @@
 Two gates, one per axis of the array-API refactor:
 
 1. **NumPy-path regression**: every hot kernel (kin/pot/nonlocal/CAP/
-   multigrid/Hartree), run on the default NumPy backend, must reproduce
+   multigrid/Hartree, and the SCF path's Kohn-Sham H|psi>, periodic
+   Laplacian and CG solve), run on the default NumPy backend, must reproduce
    the *pre-refactor* outputs committed in ``tests/data/golden_kernels.npz``
    -- bit-for-bit on the platform that generated the file
    (``REPRO_GOLDEN_EXACT=1``), and to 1e-12 across BLAS builds.  The
@@ -140,6 +141,36 @@ def _hartree(inp, **kw):
     )
 
 
+def _ks_hamiltonian(inp):
+    """Local field plus s- and p-channel KB projectors on the shared grid."""
+    from repro.pseudo.elements import get_species
+    from repro.pseudo.kb import KBProjectorSet
+    from repro.qxmd.hamiltonian import KSHamiltonian
+
+    grid = inp["grid"]
+    pos = np.array([[1.0, 1.5, 2.0], [2.5, 2.0, 1.0]])
+    kb = KBProjectorSet(grid, pos, [get_species("Ti"), get_species("O")])
+    return KSHamiltonian(grid, inp["vloc"], kb=kb)
+
+
+def _qxmd(inp):
+    """The SCF-path kernels: H|psi>, the periodic Laplacian and CG."""
+    from repro.multigrid.smoothers import laplacian_periodic
+    from repro.qxmd.cg import cg_eigensolve
+
+    ham = _ks_hamiltonian(inp)
+    psi = inp["wf"].psi
+    wf = inp["wf"].copy()
+    eigs = cg_eigensolve(ham, wf, ncg=3)
+    return {
+        "ks_apply_soa": ham.apply(psi),
+        "ks_apply_3d": ham.apply(psi[..., 0]),
+        "mg_laplacian": laplacian_periodic(inp["u"], inp["grid"].spacing),
+        "cg_eigs": np.asarray(eigs),
+        "cg_orbitals": wf.psi.copy(),
+    }
+
+
 def golden_kernel_outputs():
     """Every kernel of the matrix on the default (NumPy) backend."""
     inp = _inputs()
@@ -154,6 +185,7 @@ def golden_kernel_outputs():
         out[f"nl_{variant}"] = _nonlocal(inp, variant)
     out.update(_multigrid(inp))
     out["hartree_mg"], out["hartree_fft"] = _hartree(inp)
+    out.update(_qxmd(inp))
     return out
 
 

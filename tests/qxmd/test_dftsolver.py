@@ -98,3 +98,32 @@ class TestWarmStart:
         solver, res = dc_result
         out = solver.solve(warm_wfs=[None, res.states[1].wf])
         assert len(out.states) == 2
+
+    def test_random_start_only_where_no_warm_set_fits(self, dc_result,
+                                                      monkeypatch):
+        from repro.lfd import WaveFunctionSet
+        from repro.qxmd.dftsolver import DomainSolver
+
+        solver, res = dc_result
+        fits = res.states[0].wf
+        dom1 = res.states[1]
+        misfit = WaveFunctionSet(dom1.domain.local_grid, dom1.wf.norb + 1)
+        before = [fits.psi.copy(), misfit.psi.copy()]
+        calls = []
+        original = DomainSolver.initial_wavefunctions
+
+        def spy(self):
+            calls.append(self.domain.alpha)
+            return original(self)
+
+        monkeypatch.setattr(DomainSolver, "initial_wavefunctions", spy)
+        out = solver.solve(warm_wfs=[fits, misfit])
+        assert calls == [1]
+        # The warm sets are inputs only: untouched, and not aliased by
+        # the new states (surface hopping overlaps old and new orbitals).
+        for warm, want in zip((fits, misfit), before):
+            assert np.array_equal(warm.psi.view(np.uint8), want.view(np.uint8))
+        assert not np.shares_memory(out.states[0].wf.psi, fits.psi)
+        calls.clear()
+        solver.solve(warm_wfs=[None, dom1.wf])
+        assert calls == [0]

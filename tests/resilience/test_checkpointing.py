@@ -1,6 +1,7 @@
 """Hardened-checkpoint tests: atomicity, integrity, rotation, round-trip."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -155,6 +156,43 @@ class TestLoadValidatesBeforeApply:
         assert np.array_equal(victim.dc.states[0].wf.psi, before_psi)
         assert victim.rng.bit_generator.state == before_rng
         assert victim.carriers  # pre-existing carriers were not cleared
+
+    def test_flipped_orbital_byte_fails_plain_load(self, warm_sim, tmp_path):
+        """The unverified path still detects a flipped byte: the stored
+        archive's members carry a CRC-32 that the load checks."""
+        path = save_checkpoint(warm_sim, tmp_path / "ck.npz")
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("psi_0.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        raw = bytearray(path.read_bytes())
+        # Member data follows the 30-byte local header, the name and the
+        # extra field; flip one byte in the middle of the orbital data.
+        hdr = info.header_offset
+        name_len = int.from_bytes(raw[hdr + 26:hdr + 28], "little")
+        extra_len = int.from_bytes(raw[hdr + 28:hdr + 30], "little")
+        raw[hdr + 30 + name_len + extra_len + info.compress_size // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+
+        victim = make_sim(seed=99)
+        victim.excite_carrier(0)
+
+        def state(sim):
+            arrays = [sim.md_state.positions, sim.md_state.velocities]
+            for st in sim.dc.states:
+                arrays += [st.wf.psi, st.occupations, st.eigenvalues, st.vloc]
+            for carriers in sim.carriers.values():
+                arrays += [c.amplitudes for c in carriers]
+            return ([a.copy() for a in arrays], sim.step_count, sim.time,
+                    json.dumps(sim.rng.bit_generator.state))
+
+        before = state(victim)
+        with pytest.raises(zipfile.BadZipFile, match="CRC"):
+            load_checkpoint(victim, path)
+        after = state(victim)
+        assert after[1:] == before[1:]
+        assert len(after[0]) == len(before[0])
+        for a, b in zip(after[0], before[0]):
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
     def test_missing_domain_array_detected(self, warm_sim, tmp_path):
         good = save_checkpoint(warm_sim, tmp_path / "good.npz")
