@@ -10,11 +10,11 @@ free, there is nothing to expire.
 
 Durability follows the repo's persistence rules:
 
-* every artifact is written with the fsync'd same-directory atomic
-  writer of :mod:`repro.resilience.atomicio`, honouring the
-  ``artifact.enospc`` / ``artifact.torn_write`` fault sites -- a crash
-  or full disk can never publish a half-written artifact;
-* an artifact that is nevertheless unreadable (torn by an unclean
+* every artifact is one verified archive of
+  :mod:`repro.resilience.atomicio`, published atomically and honouring
+  the ``artifact.enospc`` / ``artifact.torn_write`` fault sites -- a
+  crash or full disk can never publish a half-written artifact;
+* an artifact that nevertheless fails verification (torn by an unclean
   writer, bit rot) is treated as a *miss*, counted on
   ``stats()["corrupt"]``, and healed by the next ``put``;
 * the store is bounded: with ``max_bytes`` set, least-recently-*used*
@@ -28,8 +28,6 @@ one of the complete artifacts, never an interleaving.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 from dataclasses import dataclass
 from hashlib import sha256
@@ -38,10 +36,14 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.resilience.atomicio import atomic_write_bytes
+from repro.resilience.atomicio import (
+    CheckpointCorruptError,
+    read_archive,
+    write_archive,
+)
 
-#: npz member name reserved for the JSON metadata record.
-_META_MEMBER = "__meta__"
+#: Archive schema of a stored artifact.
+ARTIFACT_SCHEMA = "artifact.v1"
 
 
 @dataclass(frozen=True)
@@ -106,20 +108,9 @@ class ArtifactStore:
         Raises ``OSError`` (and leaves any previous artifact intact) when
         the disk is full or the ``artifact.enospc`` fault site is armed.
         """
-        if _META_MEMBER in arrays:
-            raise ValueError(f"array name {_META_MEMBER!r} is reserved")
-        record = dict(meta) if meta is not None else {}
-        buf = io.BytesIO()
-        np.savez(
-            buf,
-            **{_META_MEMBER: np.frombuffer(
-                json.dumps(record, sort_keys=True).encode(), dtype=np.uint8
-            )},
-            **dict(arrays),
-        )
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, buf.getvalue(), fault_prefix="artifact")
+        path = write_archive(self.path_for(key), arrays,
+                             meta if meta is not None else {},
+                             ARTIFACT_SCHEMA, fault_prefix="artifact")
         if self.max_bytes is not None:
             self._evict_to_budget(keep=path)
         return path
@@ -129,24 +120,18 @@ class ArtifactStore:
     ) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]:
         """The stored ``(arrays, meta)`` for ``key``, or None on a miss.
 
-        A torn/corrupt artifact is a miss (counted on ``corrupt``), never
-        a crash; a successful read touches the file's mtime so the LRU
-        eviction order tracks use, not just creation.
+        An artifact that fails verification is a miss (counted on
+        ``corrupt``), never a crash; a successful read touches the
+        file's mtime so the LRU eviction order tracks use, not just
+        creation.
         """
         path = self.path_for(key)
         if not path.exists():
             self.misses += 1
             return None
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta_raw = bytes(archive[_META_MEMBER].tobytes())
-                arrays = {
-                    name: archive[name]
-                    for name in archive.files
-                    if name != _META_MEMBER
-                }
-            meta = json.loads(meta_raw.decode())
-        except Exception:  # dclint: disable=DCL004 -- any unreadable artifact (torn zip, bad JSON, OS error) must degrade to a recomputable miss
+            arrays, meta = read_archive(path, ARTIFACT_SCHEMA)
+        except (CheckpointCorruptError, OSError):
             self.corrupt += 1
             self.misses += 1
             return None

@@ -165,11 +165,11 @@ def _run_sim(args, grid, positions, species, laser, config, executor) -> int:
         restart = pathlib.Path(args.restart)
         if restart.is_dir():
             # A rotation directory: restore the newest generation that
-            # passes its digest check, degrading past torn/corrupt ones.
+            # passes verification, degrading past torn/corrupt ones.
             from repro.resilience.checkpointing import restore_newest_verified
 
             path, _, skipped = restore_newest_verified(sim, restart)
-            for bad in skipped:
+            for bad, _error in skipped:
                 print(f"warning: skipped corrupt checkpoint {bad.name}")
             print(f"restarted from {path} at step {sim.step_count}")
         else:
@@ -376,17 +376,10 @@ def _ensemble_drive(args: argparse.Namespace, run) -> int:
              if p.dec_correction == "edc" else ""))
 
     if args.restart:
-        from repro.resilience.checkpointing import (
-            CheckpointCorruptError,
-            restore_newest_verified,
-        )
+        from repro.resilience.checkpointing import restore_newest_verified
 
-        try:
-            path, _, skipped = restore_newest_verified(run, args.restart)
-        except CheckpointCorruptError as exc:
-            print(f"error: cannot resume from {args.restart}: {exc}")
-            return 1
-        for bad in skipped:
+        path, _, skipped = restore_newest_verified(run, args.restart)
+        for bad, _error in skipped:
             print(f"warning: skipped corrupt checkpoint {bad.name}")
         print(f"resumed from {path.name}: "
               f"{int(run.done.sum())}/{len(run.batches)} batches done")
@@ -438,16 +431,17 @@ def _ensemble_drive(args: argparse.Namespace, run) -> int:
     print(f"total hops: {int(result.hops.sum())} "
           f"(mean {result.hops.mean():.2f}/trajectory)")
     if args.out:
-        np.savez(
-            args.out,
-            pop_mean=stats.pop_mean,
-            pop_stderr=stats.pop_stderr,
-            active_fraction=stats.active_fraction,
-            active_counts=stats.active_counts,
-            coherence_mean=stats.coherence_mean,
-            coherence_stderr=stats.coherence_stderr,
-            hops=result.hops,
-        )
+        from repro.resilience.atomicio import write_archive
+
+        write_archive(args.out, {
+            "pop_mean": stats.pop_mean,
+            "pop_stderr": stats.pop_stderr,
+            "active_fraction": stats.active_fraction,
+            "active_counts": stats.active_counts,
+            "coherence_mean": stats.coherence_mean,
+            "coherence_stderr": stats.coherence_stderr,
+            "hops": result.hops,
+        }, {}, "ensemble.stats.v1")
         print(f"statistics written to {args.out}")
     return 0
 
@@ -542,7 +536,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         else:
             print(f"{key}: {value}")
     if args.out and arrays:
-        np.savez(args.out, **arrays)
+        from repro.resilience.atomicio import write_archive
+
+        write_archive(args.out, arrays, {}, "serve.result.v1")
         print(f"arrays written to {args.out}")
     return 0
 
@@ -595,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "supervised run (default: unbounded)")
     run.add_argument("--checkpoint", help="write a checkpoint after the run")
     run.add_argument("--restart",
-                     help="restore this checkpoint first (a rotation "
-                          "directory restores its newest verified "
-                          "generation)")
+                     help="restore this verified checkpoint first (a "
+                          "rotation directory restores its newest "
+                          "verified generation)")
     run.add_argument("--checkpoint-every", type=int, default=0,
                      help="supervise the run, checkpointing every N MD "
                           "steps (0 = unsupervised)")
@@ -828,14 +824,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
+    from repro.resilience.atomicio import CheckpointCorruptError
     from repro.resilience.liveness import DeadlineExceeded
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DeadlineExceeded as exc:
-        # An expired --deadline is an intentional bound, not a crash.
+    except (CheckpointCorruptError, DeadlineExceeded) as exc:
+        # An expired --deadline is an intentional bound and an archive
+        # that fails verification is bad input, not a crash.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

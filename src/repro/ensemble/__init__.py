@@ -21,6 +21,7 @@ population trace, KS/stderr) tiers.
 from repro.ensemble.engine import (
     BatchResult,
     EnsembleConfig,
+    EnsembleMember,
     EnsembleResult,
     EnsembleRoundRecord,
     EnsembleRun,
@@ -48,6 +49,7 @@ __all__ = [
     "BatchResult",
     "ClassicalPath",
     "EnsembleConfig",
+    "EnsembleMember",
     "EnsembleResult",
     "EnsembleRoundRecord",
     "EnsembleRun",

@@ -1,29 +1,33 @@
-"""The trajectory-ensemble engine: batched swarms over a DomainExecutor.
+"""The trajectory-ensemble engine: stacked swarms over a DomainExecutor.
 
-The engine splits an ``ntraj`` ensemble into contiguous batches (the
-``ensemble.swarm`` tunable's ``batch_size``), runs each batch as one
-picklable executor task -- a full swarm sweep over the classical path --
-and reassembles the per-trajectory traces *in trajectory order*, so the
-resulting stacked arrays (and every statistic computed from them) are
-identical for any batch size, backend or worker count.
+A run stacks one or more *members* -- independent jobs, each an
+``(ntraj, istate, seed)`` :class:`EnsembleMember` -- on one trajectory
+axis.  A single :class:`EnsembleConfig` job is a run with one member;
+the serving daemon coalesces compatible requests into one run with many.
+The engine packs the stacked axis into tasks of ``batch_size`` rows
+(the ``ensemble.swarm`` tunable), runs each task as one picklable
+executor task -- a full swarm sweep over the classical path -- and
+writes the per-trajectory traces back *in trajectory order*.  Every
+row's RNG stream is keyed on ``(member seed, member-local index)`` and
+the swarm kernels are batch-size invariant, so each member's traces
+(and every statistic computed from them) are identical for any batch
+size, backend, worker count or co-member.
 
-:class:`EnsembleRun` is the supervisable face of the engine: one batch
-*round* (up to ``round_size`` batches through the executor) is one
-"MD step" to the PR-1/PR-6
+:class:`EnsembleRun` is supervisable: one *round* (up to ``round_size``
+tasks through the executor) is one "MD step" to the
 :class:`~repro.resilience.supervisor.RunSupervisor`, and
-``save_state``/``load_state`` persist the partial ensemble through the
-hardened checkpoint writer -- a crash mid-ensemble resumes with the
-completed batches intact and replays only the missing ones, bit-
-identically (each batch is a pure function of ``(path, seed, batch)``).
+``save_state``/``load_state`` persist the partial run as one verified
+archive -- a crash mid-run resumes with the completed tasks intact and
+replays only the missing ones, bit-identically (each task is a pure
+function of ``(path, segments)``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,12 +35,18 @@ from repro.ensemble.path import ClassicalPath
 from repro.ensemble.stats import EnsembleStats, compute_stats
 from repro.ensemble.swarm import SwarmState, step_swarm, trajectory_rng
 from repro.obs import trace_span
-from repro.parallel.executor import DomainExecutor, chunk_slices, make_executor
+from repro.parallel.executor import DomainExecutor, make_executor
 from repro.qxmd.sh_kernels import HopPolicy
-from repro.resilience.checkpointing import CheckpointCorruptError
+from repro.resilience.atomicio import (
+    CheckpointCorruptError,
+    read_archive,
+    write_archive,
+)
 
-#: Version tag of the partial-ensemble checkpoint schema.
-ENSEMBLE_CKPT_VERSION = 1
+#: Version tag of the partial-run checkpoint schema.
+ENSEMBLE_CKPT_VERSION = 2
+#: Archive schema of a partial-run checkpoint.
+ENSEMBLE_SCHEMA = f"ensemble.run.v{ENSEMBLE_CKPT_VERSION}"
 
 
 @dataclass
@@ -86,8 +96,81 @@ def resolve_batch_size(config: EnsembleConfig) -> int:
 
 
 @dataclass(frozen=True)
+class EnsembleMember:
+    """One job on a run's stacked trajectory axis."""
+
+    ntraj: int
+    istate: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.ntraj < 1:
+            raise ValueError("ntraj must be positive")
+        if self.istate < 0:
+            raise ValueError("istate must be non-negative")
+
+
+@dataclass(frozen=True)
+class Segment:
+    """A contiguous run of one member's trajectories inside a task.
+
+    ``lo``/``hi`` index the run's stacked (global) trajectory axis;
+    ``local_lo`` is the member-local index of row ``lo``, which seeds
+    the per-trajectory RNG stream -- the stream depends on the
+    trajectory's identity *within its job*, never on its placement in
+    the stack.
+    """
+
+    seed: int
+    istate: int
+    lo: int
+    hi: int
+    local_lo: int
+
+
+def pack_segments(
+    members: Sequence[EnsembleMember], batch_size: int
+) -> List[Tuple[Segment, ...]]:
+    """Greedily pack every member's trajectories into stacked tasks.
+
+    Members are walked in order; each task accumulates segments until
+    it holds ``batch_size`` trajectory rows.  Small jobs therefore share
+    tasks (the coalescing win) while a job wider than ``batch_size``
+    splits across several; a single member yields exactly the
+    :func:`~repro.parallel.executor.chunk_slices` batches.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    tasks: List[Tuple[Segment, ...]] = []
+    current: List[Segment] = []
+    room = batch_size
+    offset = 0
+    for member in members:
+        local = 0
+        while local < member.ntraj:
+            width = min(room, member.ntraj - local)
+            current.append(Segment(
+                seed=member.seed,
+                istate=member.istate,
+                lo=offset + local,
+                hi=offset + local + width,
+                local_lo=local,
+            ))
+            local += width
+            room -= width
+            if room == 0:
+                tasks.append(tuple(current))
+                current = []
+                room = batch_size
+        offset += member.ntraj
+    if current:
+        tasks.append(tuple(current))
+    return tasks
+
+
+@dataclass(frozen=True)
 class BatchResult:
-    """Everything one batch task hands back (fresh arrays, picklable)."""
+    """One segment's traces as a task hands them back (picklable)."""
 
     lo: int
     hi: int
@@ -99,24 +182,36 @@ class BatchResult:
     ke_factor: np.ndarray         # (hi-lo,)
 
 
-def _swarm_batch_task(args: Tuple[Any, ...]) -> BatchResult:
-    """Executor task: sweep one batch of trajectories over the full path.
+def _swarm_task(args: Tuple[Any, ...]) -> List[BatchResult]:
+    """Executor task: sweep one stack of segments over the full path.
 
-    ``args`` is ``(energies, nac, kinetic, dt, lo, hi, seed, istate,
-    substeps, policy, array_backend)``.  Self-contained and
-    placement-independent: the RNG streams come from ``(seed, trajectory
-    index)`` carried in the item, never from worker state, so any
-    backend, chunking or resume produces identical results.
+    ``args`` is ``(energies, nac, kinetic, dt, segments, substeps,
+    policy, array_backend)`` with ``segments`` a tuple of
+    :class:`Segment`.  Self-contained and placement-independent: the
+    RNG streams come from ``(seed, member-local index)`` carried in the
+    segments, never from worker state, and rows of different members
+    share the stacked kernel calls but are numerically independent, so
+    any backend, packing or resume produces identical results.
     ``array_backend`` is a plain substrate name (or ``None``), resolved
     inside the worker.  Inputs may be read-only shared-memory views;
-    they are only read, and every returned array is fresh.
+    they are only read, and every returned array is task-local.
     """
-    (energies, nac, kinetic, dt, lo, hi, seed, istate, substeps,
-     policy, array_backend) = args
+    (energies, nac, kinetic, dt, segments, substeps, policy,
+     array_backend) = args
     nsteps, nstates = energies.shape
-    nb = hi - lo
-    swarm = SwarmState.on_state(nb, nstates, istate)
-    rngs = [trajectory_rng(seed, lo + t) for t in range(nb)]
+    nb = sum(seg.hi - seg.lo for seg in segments)
+    amps = np.zeros((nb, nstates), dtype=np.complex128)
+    active = np.empty(nb, dtype=np.int64)
+    rngs = []
+    row = 0
+    for seg in segments:
+        width = seg.hi - seg.lo
+        amps[row:row + width, seg.istate] = 1.0
+        active[row:row + width] = seg.istate
+        rngs.extend(trajectory_rng(seg.seed, seg.local_lo + t)
+                    for t in range(width))
+        row += width
+    swarm = SwarmState(amplitudes=amps, active=active)
     populations = np.empty((nsteps, nb, nstates), dtype=np.float64)
     actives = np.empty((nsteps, nb), dtype=np.int64)
     for s in range(nsteps):
@@ -128,16 +223,22 @@ def _swarm_batch_task(args: Tuple[Any, ...]) -> BatchResult:
         populations[s] = swarm.populations
         actives[s] = swarm.active
     assert swarm.hop_counts is not None and swarm.ke_factor is not None
-    return BatchResult(
-        lo=lo,
-        hi=hi,
-        populations=populations,
-        actives=actives,
-        hops=swarm.hop_counts.copy(),
-        final_amplitudes=swarm.amplitudes.copy(),
-        final_active=swarm.active.copy(),
-        ke_factor=swarm.ke_factor.copy(),
-    )
+    out: List[BatchResult] = []
+    row = 0
+    for seg in segments:
+        sl = slice(row, row + seg.hi - seg.lo)
+        out.append(BatchResult(
+            lo=seg.lo,
+            hi=seg.hi,
+            populations=populations[:, sl, :],
+            actives=actives[:, sl],
+            hops=swarm.hop_counts[sl],
+            final_amplitudes=swarm.amplitudes[sl],
+            final_active=swarm.active[sl],
+            ke_factor=swarm.ke_factor[sl],
+        ))
+        row = sl.stop
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,7 +254,8 @@ class EnsembleRoundRecord:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """A completed ensemble: stacked traces plus summary statistics."""
+    """A completed ensemble (or one member of it): stacked traces plus
+    summary statistics."""
 
     stats: EnsembleStats
     populations: np.ndarray   # (nsteps, ntraj, nstates)
@@ -165,14 +267,21 @@ class EnsembleResult:
 
 
 class EnsembleRun:
-    """Supervisable, checkpointable execution of one trajectory ensemble.
+    """Supervisable, checkpointable execution of a stacked ensemble.
+
+    ``members`` lists the jobs on the stacked trajectory axis; when it
+    is None the run holds the one job that ``config`` describes
+    (``ntraj``, ``istate``, ``seed``).  The rest of ``config`` -- hop
+    policy, substeps, batch size, array substrate -- is shared by every
+    member.
 
     Satisfies the supervisor's
     :class:`~repro.resilience.supervisor.SupervisableRun` protocol: one
-    ``md_step()`` runs up to ``round_size`` pending batches through the
-    executor; ``save_state``/``load_state`` persist the partial
-    ensemble (completed-batch traces + done mask) so the hardened
-    checkpoint writer and ``--restart`` machinery work unchanged.
+    ``md_step()`` runs up to ``round_size`` pending tasks through the
+    executor (a serial one unless ``backend``/``executor`` say
+    otherwise); ``save_state``/``load_state`` persist the partial run
+    (completed traces + done mask) so the hardened checkpoint writer
+    and ``--restart`` machinery work unchanged.
     """
 
     def __init__(
@@ -183,16 +292,23 @@ class EnsembleRun:
         workers: Optional[int] = 1,
         round_size: Optional[int] = None,
         executor: Optional[DomainExecutor] = None,
+        members: Optional[Sequence[EnsembleMember]] = None,
         **executor_extras: Any,
     ) -> None:
         self.path = path
         self.config = config if config is not None else EnsembleConfig()
-        self.batch_size = resolve_batch_size(self.config)
-        self.istate = (self.config.istate if self.config.istate is not None
-                       else path.nstates - 1)
-        if self.istate >= path.nstates:
+        if members is None:
+            istate = (self.config.istate if self.config.istate is not None
+                      else path.nstates - 1)
+            members = [EnsembleMember(self.config.ntraj, istate,
+                                      self.config.seed)]
+        if not members:
+            raise ValueError("a run needs at least one member")
+        if any(m.istate >= path.nstates for m in members):
             raise ValueError("istate outside the path's state range")
-        self.batches = chunk_slices(self.config.ntraj, self.batch_size)
+        self.members = tuple(members)
+        self.batch_size = resolve_batch_size(self.config)
+        self.batches = pack_segments(self.members, self.batch_size)
         self.round_size = (round_size if round_size is not None
                            else max(1, workers if workers is not None else 1))
         if self.round_size < 1:
@@ -201,8 +317,9 @@ class EnsembleRun:
         self._backend = backend
         self._workers = workers
         self._executor_extras = executor_extras
-        ntraj, nsteps, nstates = (self.config.ntraj, path.nsteps,
-                                  path.nstates)
+        ntraj = sum(m.ntraj for m in self.members)
+        nsteps, nstates = path.nsteps, path.nstates
+        self.ntraj = ntraj
         self.populations = np.zeros((nsteps, ntraj, nstates))
         self.actives = np.zeros((nsteps, ntraj), dtype=np.int64)
         self.hops = np.zeros(ntraj, dtype=np.int64)
@@ -223,7 +340,7 @@ class EnsembleRun:
 
     @property
     def rounds_remaining(self) -> int:
-        """Supervisable steps needed to finish the pending batches."""
+        """Supervisable steps needed to finish the pending tasks."""
         pending = int(np.count_nonzero(~self.done))
         return math.ceil(pending / self.round_size)
 
@@ -248,32 +365,31 @@ class EnsembleRun:
 
     # ------------------------------------------------------------------ #
     def _batch_item(self, index: int) -> Tuple[Any, ...]:
-        lo, hi = self.batches[index]
         return (self.path.energies, self.path.nac, self.path.kinetic,
-                self.path.dt, lo, hi, self.config.seed, self.istate,
-                self.config.substeps, self.config.policy,
-                self.config.array_backend)
+                self.path.dt, self.batches[index], self.config.substeps,
+                self.config.policy, self.config.array_backend)
 
-    def _apply(self, index: int, res: BatchResult) -> None:
-        lo, hi = res.lo, res.hi
-        self.populations[:, lo:hi, :] = res.populations
-        self.actives[:, lo:hi] = res.actives
-        self.hops[lo:hi] = res.hops
-        self.final_amplitudes[lo:hi] = res.final_amplitudes
-        self.final_active[lo:hi] = res.final_active
-        self.ke_factor[lo:hi] = res.ke_factor
+    def _apply(self, index: int, results: List[BatchResult]) -> None:
+        for res in results:
+            lo, hi = res.lo, res.hi
+            self.populations[:, lo:hi, :] = res.populations
+            self.actives[:, lo:hi] = res.actives
+            self.hops[lo:hi] = res.hops
+            self.final_amplitudes[lo:hi] = res.final_amplitudes
+            self.final_active[lo:hi] = res.final_active
+            self.ke_factor[lo:hi] = res.ke_factor
         self.done[index] = True
 
     def md_step(self) -> EnsembleRoundRecord:
-        """Run one round of pending batches (the supervisable unit)."""
+        """Run one round of pending tasks (the supervisable unit)."""
         todo = np.nonzero(~self.done)[0][: self.round_size]
         if todo.size:
             items = [self._batch_item(int(i)) for i in todo]
             with trace_span("ensemble.round", "md",
                             round=self.step_count, batches=len(items),
-                            ntraj=self.config.ntraj):
+                            members=len(self.members), ntraj=self.ntraj):
                 results = self._get_executor().map(
-                    _swarm_batch_task, items, label="ensemble.batches"
+                    _swarm_task, items, label="ensemble.batches"
                 )
             for i, res in zip(todo, results):
                 self._apply(int(i), res)
@@ -295,14 +411,17 @@ class EnsembleRun:
             self.md_step()
         return self.result()
 
-    def result(self) -> EnsembleResult:
-        """Assemble the final :class:`EnsembleResult`; all batches must
-        be done (raises ``RuntimeError`` on a partial ensemble)."""
+    def _require_complete(self) -> None:
         if not self.complete:
             raise RuntimeError(
                 f"ensemble incomplete: {int(np.count_nonzero(self.done))}"
                 f"/{len(self.batches)} batches done"
             )
+
+    def result(self) -> EnsembleResult:
+        """The whole stacked ensemble; every task must be done (raises
+        ``RuntimeError`` on a partial run)."""
+        self._require_complete()
         return EnsembleResult(
             stats=compute_stats(self.populations, self.actives),
             populations=self.populations,
@@ -312,6 +431,27 @@ class EnsembleRun:
             final_active=self.final_active,
             ke_factor=self.ke_factor,
         )
+
+    def results(self) -> List[EnsembleResult]:
+        """Each member's slice of the completed run, in member order."""
+        self._require_complete()
+        out: List[EnsembleResult] = []
+        offset = 0
+        for m in self.members:
+            sl = slice(offset, offset + m.ntraj)
+            pops = self.populations[:, sl, :].copy()
+            acts = self.actives[:, sl].copy()
+            out.append(EnsembleResult(
+                stats=compute_stats(pops, acts),
+                populations=pops,
+                actives=acts,
+                hops=self.hops[sl].copy(),
+                final_amplitudes=self.final_amplitudes[sl].copy(),
+                final_active=self.final_active[sl].copy(),
+                ke_factor=self.ke_factor[sl].copy(),
+            ))
+            offset += m.ntraj
+        return out
 
     # ------------------------------------------------------------------ #
     def _fingerprint(self) -> str:
@@ -328,10 +468,8 @@ class EnsembleRun:
         p = self.config.policy
         return config_hash({
             "version": ENSEMBLE_CKPT_VERSION,
-            "ntraj": self.config.ntraj,
-            "seed": self.config.seed,
+            "members": [[m.ntraj, m.istate, m.seed] for m in self.members],
             "substeps": self.config.substeps,
-            "istate": self.istate,
             "batch_size": self.batch_size,
             "nsteps": self.path.nsteps,
             "nstates": self.path.nstates,
@@ -344,40 +482,35 @@ class EnsembleRun:
         })
 
     def save_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Archive the partial ensemble (checkpoint-writer callback)."""
-        meta = {"fingerprint": self._fingerprint()}
-        meta["step_count"] = self.step_count
-        np.savez(
+        """Archive the partial run (checkpoint-writer callback)."""
+        write_archive(
             path,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            populations=self.populations,
-            actives=self.actives,
-            hops=self.hops,
-            final_amplitudes=self.final_amplitudes,
-            final_active=self.final_active,
-            ke_factor=self.ke_factor,
-            done=self.done,
+            {
+                "populations": self.populations,
+                "actives": self.actives,
+                "hops": self.hops,
+                "final_amplitudes": self.final_amplitudes,
+                "final_active": self.final_active,
+                "ke_factor": self.ke_factor,
+                "done": self.done,
+            },
+            {"fingerprint": self._fingerprint(),
+             "step_count": self.step_count, "time": self.time},
+            ENSEMBLE_SCHEMA,
+            fault_prefix="checkpoint",
         )
 
     def load_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Restore a partial ensemble written by :meth:`save_state`.
+        """Restore a partial run written by :meth:`save_state`.
 
-        Two-phase: every array is read and validated against this run's
-        configuration fingerprint before any state is touched.  A
-        fingerprint mismatch raises
-        :class:`~repro.resilience.checkpointing.CheckpointCorruptError`
-        so the restore machinery falls back a generation rather than
+        Two-phase: the archive is read and verified, and checked against
+        this run's configuration fingerprint and shapes, before any
+        state is touched.  A mismatch raises
+        :class:`~repro.resilience.atomicio.CheckpointCorruptError` so
+        the restore machinery falls back a generation rather than
         splicing an incompatible ensemble into this run.
         """
-        with np.load(path) as archive:
-            meta = json.loads(bytes(archive["meta"]).decode())
-            loaded = {
-                key: archive[key]
-                for key in ("populations", "actives", "hops",
-                            "final_amplitudes", "final_active",
-                            "ke_factor", "done")
-            }
-        step_count = int(meta.pop("step_count", -1))
+        loaded, meta = read_archive(path, ENSEMBLE_SCHEMA)
         expected = self._fingerprint()
         if meta.get("fingerprint") != expected:
             raise CheckpointCorruptError(
@@ -395,9 +528,9 @@ class EnsembleRun:
         self.final_amplitudes = loaded["final_amplitudes"]
         self.final_active = loaded["final_active"]
         self.ke_factor = loaded["ke_factor"]
-        self.done = loaded["done"].astype(bool)
-        self.step_count = step_count
-        self.time = float(step_count)
+        self.done = loaded["done"]
+        self.step_count = int(meta["step_count"])
+        self.time = float(meta["time"])
 
 
 def run_ensemble(

@@ -1,13 +1,11 @@
-"""Performance instrumentation: timers, counters, paper-style reports."""
+"""Performance instrumentation: a timer, counters, paper-style reports."""
 
-from repro.perf.timers import Timer, RegionTimer, timed
+from repro.perf.timers import Timer
 from repro.perf.counters import CounterSet
 from repro.perf.report import Table, format_speedup, format_seconds
 
 __all__ = [
     "Timer",
-    "RegionTimer",
-    "timed",
     "CounterSet",
     "Table",
     "format_speedup",

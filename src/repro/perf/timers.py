@@ -1,10 +1,9 @@
-"""Wall-clock timers with named-region aggregation."""
+"""A start/stop wall-clock timer."""
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Optional
 
 
 class Timer:
@@ -41,72 +40,3 @@ class Timer:
     def mean(self) -> float:
         """Mean time per start/stop cycle."""
         return self.elapsed / self.calls if self.calls else 0.0
-
-
-class RegionTimer:
-    """Named-region timing with nesting support.
-
-    Usage::
-
-        rt = RegionTimer()
-        with rt.region("electron_propagation"):
-            ...
-        print(rt.report())
-    """
-
-    def __init__(self) -> None:
-        self.totals: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
-        self._stack: List[Tuple[str, float]] = []
-
-    @contextmanager
-    def region(self, name: str) -> Iterator[None]:
-        """Context manager timing one named (possibly nested) region.
-
-        Exception-safe: a region whose body raises still records its
-        elapsed time and leaves the stack exactly as it found it.  The
-        entry is removed by identity (not a blind ``pop``), so even a
-        child region that leaked its stack entry cannot make this region
-        account its time under the wrong name.
-        """
-        entry = (name, time.perf_counter())
-        self._stack.append(entry)
-        try:
-            yield
-        finally:
-            for i in range(len(self._stack) - 1, -1, -1):
-                if self._stack[i] is entry:
-                    del self._stack[i]
-                    break
-            dt = time.perf_counter() - entry[1]
-            self.totals[name] = self.totals.get(name, 0.0) + dt
-            self.counts[name] = self.counts.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        """Accumulated seconds in a region (0 if never entered)."""
-        return self.totals.get(name, 0.0)
-
-    def report(self) -> str:
-        """Aligned text report sorted by descending total time."""
-        if not self.totals:
-            return "(no regions timed)"
-        width = max(len(k) for k in self.totals)
-        lines = []
-        for name, t in sorted(self.totals.items(), key=lambda kv: -kv[1]):
-            lines.append(
-                f"{name:<{width}}  {t:10.4f} s  x{self.counts[name]}"
-            )
-        return "\n".join(lines)
-
-
-def timed(fn: Callable, *args, repeat: int = 1, **kwargs) -> Tuple[float, object]:
-    """Best-of-``repeat`` wall time of a callable; returns (seconds, result)."""
-    if repeat < 1:
-        raise ValueError("repeat must be positive")
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        best = min(best, time.perf_counter() - t0)
-    return best, result

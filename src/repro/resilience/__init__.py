@@ -11,7 +11,8 @@ Cooperating sub-modules:
 * :mod:`repro.resilience.liveness` -- deadline budgets, run-wide retry
   budgets and a circuit breaker (the bounded-waiting primitives);
 * :mod:`repro.resilience.atomicio` -- fsync'd same-directory atomic
-  writes shared by every persistence path;
+  writes and the one verified archive format shared by every
+  persistence path;
 * :mod:`repro.resilience.supervisor` -- checkpointed segment execution
   with bounded retries, deadline enforcement, graceful degradation,
   corrupt-checkpoint fallback and a structured JSON event log, on top
@@ -26,9 +27,12 @@ loaded lazily (PEP 562) to keep the import graph acyclic.
 """
 
 from repro.resilience.atomicio import (
+    CheckpointCorruptError,
     atomic_write_bytes,
     atomic_write_text,
     fsync_directory,
+    read_archive,
+    write_archive,
 )
 from repro.resilience.faults import (
     KNOWN_SITES,
@@ -61,7 +65,6 @@ from repro.resilience.liveness import (
 )
 
 _LAZY = {
-    "CheckpointCorruptError": "repro.resilience.checkpointing",
     "checkpoint_path": "repro.resilience.checkpointing",
     "list_checkpoints": "repro.resilience.checkpointing",
     "load_verified": "repro.resilience.checkpointing",
@@ -77,9 +80,12 @@ _LAZY = {
 }
 
 __all__ = [
+    "CheckpointCorruptError",
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_directory",
+    "read_archive",
+    "write_archive",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",

@@ -1,42 +1,36 @@
-"""Hardened checkpointing: atomic writes, integrity digests, rotation.
+"""Hardened checkpointing: verified generations, rotation, fallback.
 
-The plain :mod:`repro.core.checkpoint` format is a single ``.npz`` that
-is written in place -- a crash mid-write leaves a truncated archive, and
-a bit flip on disk is only discovered at restart, as a zip CRC-32 error
-from the member it lands in, once the load is already under way.
-Production resilience needs three properties:
+Every generation is one verified archive of
+:mod:`repro.resilience.atomicio` (``ckpt-<step>.npz``), so three
+properties hold without any side file:
 
 * **atomicity** -- the archive is written to a hidden temporary file in
-  the same directory and published with ``os.replace``, so a checkpoint
-  either exists completely or not at all;
-* **integrity** -- a SHA-256 digest of the archive is stored in an
-  atomically written JSON sidecar (``<name>.json``) and verified before
-  any state is loaded, so corruption is detected *before* it can poison
-  a restart;
-* **rotation** -- the last ``keep`` generations are retained
-  (``ckpt-<step>.npz``), so a corrupt newest checkpoint degrades to the
-  previous generation instead of ending the run.
+  the same directory, fsync'd and published with ``os.replace``, so a
+  checkpoint either exists completely or not at all;
+* **integrity** -- the archive embeds a SHA-256 of its arrays, which
+  every load recomputes before any state is applied, so corruption is
+  detected *before* it can poison a restart;
+* **rotation** -- the last ``keep`` generations are retained, so a
+  corrupt newest checkpoint degrades to the previous generation instead
+  of ending the run.
 
-The ``checkpoint.corrupt`` fault site fires *after* the archive is
-published but records the digest of the good bytes, reproducing exactly
-the failure mode the verification is designed to catch.
+The ``checkpoint.enospc`` and ``checkpoint.torn_write`` fault sites fire
+inside the atomic writer, once per write; ``checkpoint.corrupt`` flips
+bytes *after* the archive is published, reproducing exactly the failure
+mode the verification is designed to catch.
 """
 
 from __future__ import annotations
 
-import errno
-import hashlib
-import json
-import os
 import pathlib
 import re
-from typing import TYPE_CHECKING, Dict, List, Protocol, Union, cast
+from typing import TYPE_CHECKING, Dict, List, Protocol, Tuple, Union, cast
 
 if TYPE_CHECKING:  # layering: resilience never imports core at runtime
     from repro.core.mesh import DCMESHSimulation
 
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.resilience.atomicio import atomic_write_text, fsync_directory
+from repro.resilience.atomicio import CheckpointCorruptError, read_archive
 from repro.resilience.faults import fault_point
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
@@ -50,7 +44,8 @@ class CheckpointableRun(Protocol):
     objects -- e.g. the trajectory-ensemble engine's partial-ensemble
     state -- opt in by providing ``save_state(path)`` / ``load_state(path)``
     methods, which :func:`write_checkpoint` / :func:`load_verified`
-    prefer over the mesh-specific archiver.
+    prefer over the mesh-specific archiver.  Either way the archive's
+    metadata carries ``step_count`` and ``time``.
     """
 
     step_count: int
@@ -75,32 +70,9 @@ def _load_state(sim: CheckpointableRun, path: Union[str, pathlib.Path]) -> None:
         load_checkpoint(cast("DCMESHSimulation", sim), path)
 
 
-class CheckpointCorruptError(RuntimeError):
-    """A checkpoint failed integrity verification (or lost its sidecar)."""
-
-
-def _sha256(path: pathlib.Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _atomic_write_text(path: pathlib.Path, text: str) -> None:
-    """Sidecar writes ride the fsync'd atomic writer of ``atomicio``."""
-    atomic_write_text(path, text)
-
-
 def checkpoint_path(directory: Union[str, pathlib.Path], step: int) -> pathlib.Path:
     """Canonical archive path of the generation written at MD step ``step``."""
     return pathlib.Path(directory) / f"ckpt-{step:08d}.npz"
-
-
-def sidecar_path(path: Union[str, pathlib.Path]) -> pathlib.Path:
-    """The integrity-metadata sidecar of an archive path."""
-    path = pathlib.Path(path)
-    return path.with_name(path.name + ".json")
 
 
 def list_checkpoints(directory: Union[str, pathlib.Path]) -> List[pathlib.Path]:
@@ -127,50 +99,17 @@ def _corrupt_file(path: pathlib.Path, offset: int, nbytes: int) -> None:
 def write_checkpoint(
     sim: CheckpointableRun, directory: Union[str, pathlib.Path], keep: int = 3
 ) -> pathlib.Path:
-    """Atomically write one checkpoint generation; rotate to ``keep``.
+    """Atomically publish one checkpoint generation; rotate to ``keep``.
 
-    Returns the published archive path.  The digest sidecar always
-    describes the *intended* bytes, so a post-publish corruption (crash,
-    bit rot, or the ``checkpoint.corrupt`` fault site) is caught by
+    Returns the published archive path.  The archive embeds the digest
+    of the *intended* arrays, so a post-publish corruption (crash, bit
+    rot, or the ``checkpoint.corrupt`` fault site) is caught by
     :func:`verify_checkpoint` at load time.
     """
     if keep < 1:
         raise ValueError("keep must be at least 1")
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     final = checkpoint_path(directory, sim.step_count)
-    tmp = directory / f".tmp-{final.name}"
-    spec = fault_point("checkpoint.enospc")
-    if spec is not None:
-        # Disk full before a single archive byte lands: the previous
-        # generations (and any existing file at ``final``) stay intact.
-        raise OSError(errno.ENOSPC,
-                      "No space left on device (injected fault)", str(final))
-    try:
-        _save_state(sim, tmp)
-        meta: Dict = {
-            "step": int(sim.step_count),
-            "time": float(sim.time),
-            "sha256": _sha256(tmp),
-            "nbytes": tmp.stat().st_size,
-        }
-        os.replace(tmp, final)
-    except BaseException:
-        # A failed write (real ENOSPC included) never leaves temp litter
-        # and never touches the published generations.
-        tmp.unlink(missing_ok=True)
-        raise
-    fsync_directory(directory)
-    _atomic_write_text(sidecar_path(final), json.dumps(meta, indent=1))
-
-    spec = fault_point("checkpoint.torn_write")
-    if spec is not None:
-        # A torn archive: published bytes truncated after the sidecar
-        # recorded the intended digest (verification catches this and
-        # falls back a generation).
-        frac = float(spec.payload.get("keep_fraction", 0.5))
-        frac = min(max(frac, 0.0), 1.0)
-        os.truncate(final, int(final.stat().st_size * frac))
+    _save_state(sim, final)
     spec = fault_point("checkpoint.corrupt")
     if spec is not None:
         _corrupt_file(
@@ -178,67 +117,53 @@ def write_checkpoint(
             offset=int(spec.payload.get("offset", 64)),
             nbytes=int(spec.payload.get("nbytes", 32)),
         )
-
     for old in list_checkpoints(directory)[:-keep]:
         old.unlink(missing_ok=True)
-        sidecar_path(old).unlink(missing_ok=True)
     return final
 
 
 def verify_checkpoint(path: Union[str, pathlib.Path]) -> Dict:
-    """Check a checkpoint's digest; returns its sidecar metadata.
+    """Recompute a generation's embedded digest; returns its step and time.
 
-    Raises :class:`CheckpointCorruptError` when the sidecar is missing,
-    unreadable, or the archive bytes do not hash to the recorded digest.
+    Raises :class:`CheckpointCorruptError` when the archive is missing,
+    torn, or its arrays do not hash to the recorded digest.
     """
-    path = pathlib.Path(path)
-    side = sidecar_path(path)
-    if not path.is_file():
-        raise CheckpointCorruptError(f"checkpoint {path} does not exist")
-    if not side.is_file():
-        raise CheckpointCorruptError(f"checkpoint {path} has no digest sidecar")
-    try:
-        meta = json.loads(side.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointCorruptError(f"unreadable sidecar {side}: {exc}") from exc
-    digest = _sha256(path)
-    if digest != meta.get("sha256"):
-        raise CheckpointCorruptError(
-            f"checkpoint {path.name} failed integrity check: "
-            f"sha256 {digest[:12]}... != recorded {str(meta.get('sha256'))[:12]}..."
-        )
-    return meta
+    _, meta = read_archive(path)
+    return {"step": int(meta["step_count"]), "time": float(meta["time"])}
 
 
 def load_verified(sim: CheckpointableRun, path: Union[str, pathlib.Path]) -> Dict:
-    """Verify integrity, then restore the checkpoint into ``sim``."""
-    meta = verify_checkpoint(path)
+    """Restore the checkpoint into ``sim`` through the verifying reader;
+    returns the restored step and time."""
     _load_state(sim, path)
-    return meta
+    return {"step": int(sim.step_count), "time": float(sim.time)}
 
 
 def restore_newest_verified(
     sim: CheckpointableRun, directory: Union[str, pathlib.Path]
-) -> "tuple[pathlib.Path, Dict, List[pathlib.Path]]":
+) -> Tuple[pathlib.Path, Dict,
+           List[Tuple[pathlib.Path, CheckpointCorruptError]]]:
     """Restore the newest generation that passes verification.
 
     Walks the rotation newest-first, skipping generations that fail
-    their digest check (torn archive, bit rot), and restores the first
-    one that verifies.  Returns ``(path, sidecar metadata, skipped)``
-    where ``skipped`` lists the corrupt newer generations (newest
-    first) so callers can log the degradation.  Raises
-    :class:`CheckpointCorruptError` when no generation is usable.
+    verification (torn archive, bit rot, foreign run), and restores the
+    first one that verifies.  Returns ``(path, {"step", "time"},
+    skipped)`` where ``skipped`` pairs each corrupt newer generation
+    (newest first) with the error that rejected it, so callers can log
+    the degradation.  Raises :class:`CheckpointCorruptError`, naming the
+    newest generation's error, when no generation is usable.
     """
     generations = list_checkpoints(directory)
-    skipped: List[pathlib.Path] = []
+    skipped: List[Tuple[pathlib.Path, CheckpointCorruptError]] = []
     for path in reversed(generations):
         try:
             meta = load_verified(sim, path)
-        except CheckpointCorruptError:
-            skipped.append(path)
+        except CheckpointCorruptError as exc:
+            skipped.append((path, exc))
             continue
         return path, meta, skipped
+    newest = f" (newest: {skipped[0][1]})" if skipped else ""
     raise CheckpointCorruptError(
         f"no usable checkpoint among {len(generations)} generation(s) "
-        f"in {directory}"
+        f"in {directory}{newest}"
     )

@@ -42,8 +42,7 @@ from repro.resilience.checkpointing import (
     _CKPT_RE,
     CheckpointCorruptError,
     list_checkpoints,
-    load_verified,
-    sidecar_path,
+    restore_newest_verified,
     write_checkpoint,
 )
 from repro.resilience.faults import RankFailure, fault_point
@@ -336,29 +335,25 @@ class RunSupervisor:
             self._restore_inner()
 
     def _restore_inner(self) -> None:
-        generations = list_checkpoints(self.checkpoint_dir)
-        for path in reversed(generations):
-            try:
-                meta = load_verified(self.sim, path)
-            except CheckpointCorruptError as exc:
-                self.log.record(
-                    "corrupt_checkpoint", path=str(path.name), error=str(exc)
-                )
-                continue
-            # Drop history beyond the restored step so records stay
-            # consistent with the replayed trajectory.
-            self.sim.history[:] = [
-                r for r in self.sim.history if r.step <= self.sim.step_count
-            ]
-            self.guard.reset_energy_reference()
-            self.log.record(
-                "restore", step=self.sim.step_count, path=str(path.name),
-                checkpoint_time=meta["time"],
+        try:
+            path, meta, skipped = restore_newest_verified(
+                self.sim, self.checkpoint_dir
             )
-            return
-        raise SupervisorAbort(
-            f"no usable checkpoint among {len(generations)} generation(s) "
-            f"in {self.checkpoint_dir}"
+        except CheckpointCorruptError as exc:
+            raise SupervisorAbort(str(exc)) from exc
+        for bad, error in skipped:
+            self.log.record(
+                "corrupt_checkpoint", path=str(bad.name), error=str(error)
+            )
+        # Drop history beyond the restored step so records stay
+        # consistent with the replayed trajectory.
+        self.sim.history[:] = [
+            r for r in self.sim.history if r.step <= self.sim.step_count
+        ]
+        self.guard.reset_energy_reference()
+        self.log.record(
+            "restore", step=self.sim.step_count, path=str(path.name),
+            checkpoint_time=meta["time"],
         )
 
     # ------------------------------------------------------------------ #
@@ -392,9 +387,6 @@ class RunSupervisor:
             step = int(_CKPT_RE.match(path.name).group(1))
             if step > start_step:
                 path.unlink()
-                sidecar = sidecar_path(path)
-                if sidecar.exists():
-                    sidecar.unlink()
                 self.log.record(
                     "stale_checkpoint", path=str(path.name), step=step
                 )

@@ -38,14 +38,15 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.artifacts import ArtifactKey, ArtifactStore, machine_fingerprint
+from repro.ensemble.engine import (
+    EnsembleConfig,
+    EnsembleMember,
+    EnsembleResult,
+    EnsembleRun,
+)
 from repro.obs import trace_span
 from repro.resilience.liveness import deadline_scope
 from repro.serve import workloads
-from repro.serve.coalesce import (
-    EnsembleGroupRun,
-    EnsembleMember,
-    run_group_supervised,
-)
 from repro.serve.jobs import (
     JobSpec,
     artifact_key,
@@ -611,20 +612,19 @@ class ServeDaemon:
         budget = min(deadlines) if deadlines else None
         explicit = [s.params["batch_size"] for s in specs
                     if s.params["batch_size"] is not None]
-        group = EnsembleGroupRun(
-            path,
-            members,
-            policy=workloads.ensemble_policy(shared),
+        config = EnsembleConfig(
             substeps=int(shared["substeps"]),
-            array_backend=shared["array_backend"],
+            policy=workloads.ensemble_policy(shared),
             batch_size=int(explicit[0]) if explicit else None,
+            array_backend=shared["array_backend"],
         )
-        results = run_group_supervised(
-            group,
-            self._scratch_dir(tuple(specs)),
-            deadline_s=budget,
-            max_retries=self.config.max_retries,
-        )
+        with EnsembleRun(path, config, members=members) as group:
+            results = run_group_supervised(
+                group,
+                self._scratch_dir(tuple(specs)),
+                deadline_s=budget,
+                max_retries=self.config.max_retries,
+            )
         return [
             (spec, workloads.ensemble_payload(member), {})
             for spec, member in zip(specs, results)
@@ -646,6 +646,34 @@ class ServeDaemon:
         if self.store is not None:
             out["artifacts"] = self.store.stats()
         return out
+
+
+def run_group_supervised(
+    group: EnsembleRun,
+    checkpoint_dir: pathlib.Path,
+    deadline_s: Optional[float] = None,
+    max_retries: int = 1,
+) -> List[EnsembleResult]:
+    """Drive a coalesced group to completion under the run supervisor.
+
+    One round per checkpointed segment; the tightest member deadline is
+    the segment budget.  Recoverable faults (worker crashes, deadline
+    expiry with relaxation, torn checkpoints) heal instead of failing
+    every job in the group.  Returns one result per member.
+    """
+    from repro.resilience.supervisor import RunSupervisor, SupervisorConfig
+
+    supervisor = RunSupervisor(
+        group,
+        checkpoint_dir,
+        SupervisorConfig(
+            checkpoint_every=1,
+            max_retries=max_retries,
+            deadline_s=deadline_s,
+        ),
+    )
+    supervisor.run(group.rounds_remaining)
+    return group.results()
 
 
 class DaemonHandle:

@@ -1,8 +1,14 @@
 """CLI subcommand tests (invoked in-process)."""
 
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main
+
+from tests.resilience.test_archive import flip_member_byte
+
+TINY_RUN = ["run", "--grid", "12", "--steps", "1", "--n-qd", "3"]
 
 
 class TestParser:
@@ -39,6 +45,46 @@ class TestRun:
                      "--restart", ckpt]) == 0
         out = capsys.readouterr().out
         assert "restarted" in out
+
+    @pytest.fixture(scope="class")
+    def good_checkpoint(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ck") / "ck.npz"
+        assert main(TINY_RUN + ["--checkpoint", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def _assert_clean_error(capsys, code, name):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and name in err
+        assert "Traceback" not in err
+
+    def test_restart_from_flipped_byte_fails_cleanly(
+            self, good_checkpoint, tmp_path, capsys):
+        bad = tmp_path / "flipped.npz"
+        shutil.copy(good_checkpoint, bad)
+        flip_member_byte(bad, "psi_0.npy")
+        code = main(TINY_RUN + ["--restart", str(bad)])
+        self._assert_clean_error(capsys, code, "flipped.npz")
+
+    def test_restart_from_truncated_file_fails_cleanly(
+            self, good_checkpoint, tmp_path, capsys):
+        raw = good_checkpoint.read_bytes()
+        bad = tmp_path / "torn.npz"
+        bad.write_bytes(raw[: len(raw) // 2])
+        code = main(TINY_RUN + ["--restart", str(bad)])
+        self._assert_clean_error(capsys, code, "torn.npz")
+
+    def test_restart_from_all_corrupt_rotation_fails_cleanly(
+            self, good_checkpoint, tmp_path, capsys):
+        ckdir = tmp_path / "rotation"
+        ckdir.mkdir()
+        for step in (0, 1):
+            bad = ckdir / f"ckpt-{step:08d}.npz"
+            shutil.copy(good_checkpoint, bad)
+            flip_member_byte(bad, "psi_0.npy")
+        code = main(TINY_RUN + ["--restart", str(ckdir)])
+        self._assert_clean_error(capsys, code, "rotation")
 
     def test_excite_flag(self, capsys):
         assert main(["run", "--steps", "1", "--n-qd", "5", "--excite"]) == 0

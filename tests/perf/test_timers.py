@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.perf import RegionTimer, Timer, timed
+from repro.perf import Timer
 
 
 class TestTimer:
@@ -40,81 +40,3 @@ class TestTimer:
         t.stop()
         t.reset()
         assert t.elapsed == 0.0 and t.calls == 0
-
-
-class TestRegionTimer:
-    def test_nesting(self):
-        rt = RegionTimer()
-        with rt.region("outer"):
-            with rt.region("inner"):
-                time.sleep(0.005)
-        assert rt.total("outer") >= rt.total("inner") > 0.0
-        assert rt.counts == {"outer": 1, "inner": 1}
-
-    def test_report_sorted(self):
-        rt = RegionTimer()
-        with rt.region("fast"):
-            pass
-        with rt.region("slow"):
-            time.sleep(0.01)
-        lines = rt.report().splitlines()
-        assert lines[0].startswith("slow")
-
-    def test_empty_report(self):
-        assert "no regions" in RegionTimer().report()
-
-    def test_exception_still_records_time(self):
-        """A raising region body records its elapsed time and count."""
-        rt = RegionTimer()
-        with pytest.raises(RuntimeError):
-            with rt.region("doomed"):
-                time.sleep(0.005)
-                raise RuntimeError("solver diverged")
-        assert rt.total("doomed") >= 0.005
-        assert rt.counts == {"doomed": 1}
-        assert rt._stack == []
-
-    def test_exception_unwinds_nested_stack(self):
-        """A raise deep in a nest leaves the stack clean and every level
-        recorded under its own name."""
-        rt = RegionTimer()
-        with pytest.raises(ValueError):
-            with rt.region("outer"):
-                with rt.region("mid"):
-                    with rt.region("inner"):
-                        raise ValueError
-        assert rt.counts == {"outer": 1, "mid": 1, "inner": 1}
-        assert rt._stack == []
-        assert rt.total("outer") >= rt.total("mid") >= rt.total("inner")
-
-    def test_reentrant_same_name(self):
-        """Recursive use of one region name attributes each level once."""
-        rt = RegionTimer()
-        with rt.region("r"):
-            with rt.region("r"):
-                time.sleep(0.002)
-        assert rt.counts == {"r": 2}
-
-    def test_usable_after_exception(self):
-        rt = RegionTimer()
-        with pytest.raises(RuntimeError):
-            with rt.region("a"):
-                raise RuntimeError
-        with rt.region("b"):
-            pass
-        assert rt.counts == {"a": 1, "b": 1}
-
-
-class TestTimed:
-    def test_returns_result(self):
-        dt, result = timed(lambda x: x * 2, 21)
-        assert result == 42
-        assert dt >= 0.0
-
-    def test_repeat_takes_best(self):
-        dt, _ = timed(time.sleep, 0.002, repeat=3)
-        assert dt >= 0.002
-
-    def test_bad_repeat(self):
-        with pytest.raises(ValueError):
-            timed(lambda: None, repeat=0)

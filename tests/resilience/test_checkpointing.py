@@ -6,13 +6,17 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    load_checkpoint,
+    save_checkpoint,
+)
+from repro.resilience.atomicio import read_archive, write_archive
 from repro.resilience.checkpointing import (
     CheckpointCorruptError,
     checkpoint_path,
     list_checkpoints,
     load_verified,
-    sidecar_path,
     verify_checkpoint,
     write_checkpoint,
 )
@@ -30,14 +34,18 @@ def warm_sim():
 
 
 class TestWriteAndVerify:
-    def test_write_publishes_archive_and_sidecar(self, warm_sim, tmp_path):
+    def test_write_publishes_one_archive_with_embedded_digest(
+            self, warm_sim, tmp_path):
         path = write_checkpoint(warm_sim, tmp_path)
         assert path == checkpoint_path(tmp_path, warm_sim.step_count)
-        assert path.is_file()
-        meta = json.loads(sidecar_path(path).read_text())
+        assert list(tmp_path.iterdir()) == [path]  # one file per generation
+        with zipfile.ZipFile(path) as zf:
+            record = json.loads(zf.read("__meta__.json"))
+        assert record["schema"] == CHECKPOINT_SCHEMA
+        assert len(record["sha256"]) == 64
+        meta = verify_checkpoint(path)
         assert meta["step"] == warm_sim.step_count
         assert meta["time"] == pytest.approx(warm_sim.time)
-        assert len(meta["sha256"]) == 64
 
     def test_no_temporary_files_left(self, warm_sim, tmp_path):
         write_checkpoint(warm_sim, tmp_path)
@@ -54,14 +62,31 @@ class TestWriteAndVerify:
         raw = bytearray(path.read_bytes())
         raw[100] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointCorruptError, match="integrity"):
+        with pytest.raises(CheckpointCorruptError):
             verify_checkpoint(path)
 
-    def test_verify_requires_sidecar(self, warm_sim, tmp_path):
+    def test_verify_detects_consistent_member_swap(self, warm_sim, tmp_path):
+        """A member rewritten with valid zip CRCs still fails: the
+        embedded digest covers every array's bytes."""
         path = write_checkpoint(warm_sim, tmp_path)
-        sidecar_path(path).unlink()
-        with pytest.raises(CheckpointCorruptError, match="sidecar"):
-            verify_checkpoint(path)
+        forged = tmp_path / "forged.npz"
+        with zipfile.ZipFile(path) as src, \
+                zipfile.ZipFile(forged, "w") as dst:
+            for info in src.infolist():
+                data = src.read(info)
+                if info.filename == "occ_0.npy":
+                    data = data[:-1] + bytes([data[-1] ^ 0x01])
+                dst.writestr(info.filename, data)
+        with pytest.raises(CheckpointCorruptError, match="integrity"):
+            verify_checkpoint(forged)
+
+    def test_verify_refuses_archive_without_record(self, warm_sim, tmp_path):
+        """A plain npz (the pre-digest checkpoint format) is refused."""
+        arrays, _ = read_archive(write_checkpoint(warm_sim, tmp_path))
+        legacy = tmp_path / "legacy.npz"
+        np.savez(legacy, **arrays)
+        with pytest.raises(CheckpointCorruptError, match="record"):
+            verify_checkpoint(legacy)
 
     def test_missing_archive_reported(self, tmp_path):
         with pytest.raises(CheckpointCorruptError, match="does not exist"):
@@ -85,9 +110,9 @@ class TestRotation:
             write_checkpoint(sim, tmp_path, keep=2)
         kept = list_checkpoints(tmp_path)
         assert [p.name for p in kept] == ["ckpt-00000002.npz", "ckpt-00000003.npz"]
-        # Sidecars rotate with their archives.
-        sidecars = sorted(p.name for p in tmp_path.glob("*.json"))
-        assert sidecars == ["ckpt-00000002.npz.json", "ckpt-00000003.npz.json"]
+        # Each generation is one file: nothing else is left to rotate.
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ckpt-00000002.npz", "ckpt-00000003.npz"]
 
     def test_list_is_ordered_oldest_first(self, tmp_path):
         sim = make_sim(seed=3)
@@ -129,12 +154,13 @@ class TestRoundtripProperty:
 
 
 class TestLoadValidatesBeforeApply:
-    def _tampered_copy(self, src, dst, **overrides):
-        with np.load(src, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
+    def _tampered_copy(self, src, dst, drop=(), **overrides):
+        """A verified archive whose contents no longer fit the sim."""
+        arrays, meta = read_archive(src, CHECKPOINT_SCHEMA)
         arrays.update(overrides)
-        np.savez_compressed(dst, **arrays)
-        return dst
+        for key in drop:
+            del arrays[key]
+        return write_archive(dst, arrays, meta, CHECKPOINT_SCHEMA)
 
     def test_bad_domain_shape_leaves_sim_untouched(self, warm_sim, tmp_path):
         """A mid-archive shape mismatch must not half-restore the sim."""
@@ -158,8 +184,8 @@ class TestLoadValidatesBeforeApply:
         assert victim.carriers  # pre-existing carriers were not cleared
 
     def test_flipped_orbital_byte_fails_plain_load(self, warm_sim, tmp_path):
-        """The unverified path still detects a flipped byte: the stored
-        archive's members carry a CRC-32 that the load checks."""
+        """A flipped orbital byte fails the load with the typed error
+        before any state is applied."""
         path = save_checkpoint(warm_sim, tmp_path / "ck.npz")
         with zipfile.ZipFile(path) as zf:
             info = zf.getinfo("psi_0.npy")
@@ -186,7 +212,7 @@ class TestLoadValidatesBeforeApply:
                     json.dumps(sim.rng.bit_generator.state))
 
         before = state(victim)
-        with pytest.raises(zipfile.BadZipFile, match="CRC"):
+        with pytest.raises(CheckpointCorruptError, match="CRC"):
             load_checkpoint(victim, path)
         after = state(victim)
         assert after[1:] == before[1:]
@@ -196,10 +222,8 @@ class TestLoadValidatesBeforeApply:
 
     def test_missing_domain_array_detected(self, warm_sim, tmp_path):
         good = save_checkpoint(warm_sim, tmp_path / "good.npz")
-        with np.load(good, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files if k != "vloc_1"}
-        bad = tmp_path / "missing.npz"
-        np.savez_compressed(bad, **arrays)
+        bad = self._tampered_copy(good, tmp_path / "missing.npz",
+                                  drop=("vloc_1",))
         victim = make_sim(seed=99)
         before_pos = victim.md_state.positions.copy()
         with pytest.raises(ValueError, match="missing array"):

@@ -10,11 +10,11 @@ no path ever crashes the run over lost telemetry.
 from __future__ import annotations
 
 import errno
-import json
 
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.mesh import DCMESHConfig, DCMESHSimulation
 from repro.core.timescale import TimescaleSplit
 from repro.grids.grid import Grid3D
@@ -24,7 +24,6 @@ from repro.resilience.checkpointing import (
     CheckpointCorruptError,
     list_checkpoints,
     restore_newest_verified,
-    sidecar_path,
     verify_checkpoint,
     write_checkpoint,
 )
@@ -122,8 +121,8 @@ class TestCheckpointFaults:
                                     payload={"keep_fraction": 0.5})])
         with armed(plan):
             path = write_checkpoint(sim, tmp_path)
-        meta = json.loads(sidecar_path(path).read_text())
-        assert path.stat().st_size < meta["nbytes"]  # really torn
+        whole = write_checkpoint(sim, tmp_path / "whole")
+        assert path.stat().st_size < whole.stat().st_size  # really torn
         with pytest.raises(CheckpointCorruptError):
             verify_checkpoint(path)
 
@@ -140,7 +139,8 @@ class TestCheckpointFaults:
         fresh = _make_sim()
         path, meta, skipped = restore_newest_verified(fresh, tmp_path)
         assert path == good
-        assert skipped == [torn]
+        assert [p for p, _ in skipped] == [torn]
+        assert isinstance(skipped[0][1], CheckpointCorruptError)
         assert fresh.step_count == good_step
         assert meta["step"] == good_step
 
@@ -152,6 +152,32 @@ class TestCheckpointFaults:
             write_checkpoint(sim, tmp_path)
         with pytest.raises(CheckpointCorruptError, match="no usable"):
             restore_newest_verified(_make_sim(), tmp_path)
+
+    def test_save_checkpoint_enospc_keeps_previous_file(self, tmp_path):
+        """A full disk while overwriting a single-file checkpoint leaves
+        the previous file whole and verifiable."""
+        sim = _make_sim()
+        path = save_checkpoint(sim, tmp_path / "ck.npz")
+        before = path.read_bytes()
+        sim.run(1)
+        plan = FaultPlan([FaultSpec("checkpoint.enospc", at_call=0)])
+        with armed(plan):
+            with pytest.raises(OSError) as ei:
+                save_checkpoint(sim, path)
+        assert ei.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        fresh = _make_sim()
+        load_checkpoint(fresh, path)
+        assert fresh.step_count == 0
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_each_site_arrives_once_per_write(self, tmp_path):
+        sim = _make_sim()
+        with armed(FaultPlan()) as probe:
+            write_checkpoint(sim, tmp_path)
+        for site in ("checkpoint.enospc", "checkpoint.torn_write",
+                     "checkpoint.corrupt"):
+            assert probe.calls(site) == 1, site
 
     def test_mid_write_kill_leaves_rotation_loadable(self, tmp_path):
         """A .tmp- file from a killed writer is invisible to the rotation."""

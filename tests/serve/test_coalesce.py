@@ -5,19 +5,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ensemble import EnsembleConfig, model_path, run_ensemble
+from repro.ensemble import EnsembleConfig, EnsembleRun, model_path, run_ensemble
+from repro.ensemble.engine import EnsembleMember, pack_segments
+from repro.parallel.executor import chunk_slices
 from repro.qxmd.sh_kernels import HopPolicy
 from repro.resilience.checkpointing import CheckpointCorruptError
-from repro.serve.coalesce import (
-    EnsembleGroupRun,
-    EnsembleMember,
-    Segment,
-    pack_segments,
-    run_group_supervised,
-)
+from repro.serve.daemon import run_group_supervised
 
 PATH = model_path(nsteps=12, nstates=4, dt=1.0, seed=11, coupling=0.12)
 POLICY = HopPolicy()
+
+
+def group(members, batch_size=None, round_size=None):
+    """A coalesced group: one run with ``members`` on its stacked axis."""
+    return EnsembleRun(
+        PATH, EnsembleConfig(policy=POLICY, batch_size=batch_size),
+        round_size=round_size, members=members,
+    )
+
+
+def run_group(members, batch_size=None):
+    with group(members, batch_size) as g:
+        g.run()
+        return g.results()
 
 
 def solo(ntraj, seed, istate, batch_size=4):
@@ -66,6 +76,13 @@ class TestPackSegments:
         with pytest.raises(ValueError):
             pack_segments([EnsembleMember(2, 0, 1)], batch_size=0)
 
+    @pytest.mark.parametrize("ntraj,batch_size", [(10, 4), (8, 8), (3, 5)])
+    def test_one_member_packs_like_chunk_slices(self, ntraj, batch_size):
+        tasks = pack_segments([EnsembleMember(ntraj, 0, 1)], batch_size)
+        assert [(s.lo, s.hi) for t in tasks for s in t] == \
+            chunk_slices(ntraj, batch_size)
+        assert all(len(t) == 1 and t[0].local_lo == t[0].lo for t in tasks)
+
 
 def assert_member_matches_solo(member_result, solo_result):
     """Bitwise equality of every trace a coalesced member hands back."""
@@ -89,8 +106,7 @@ class TestGroupEquivalence:
             EnsembleMember(ntraj=3, istate=1, seed=202),
             EnsembleMember(ntraj=5, istate=3, seed=303),
         ]
-        group = EnsembleGroupRun(PATH, members, POLICY, batch_size=4)
-        results = group.run()
+        results = run_group(members, batch_size=4)
         for member, res in zip(members, results):
             assert_member_matches_solo(
                 res, solo(member.ntraj, member.seed, member.istate)
@@ -98,8 +114,8 @@ class TestGroupEquivalence:
 
     def test_batch_size_invariance_of_the_group_itself(self):
         members = [EnsembleMember(4, 2, 7), EnsembleMember(4, 0, 9)]
-        wide = EnsembleGroupRun(PATH, members, POLICY, batch_size=8).run()
-        narrow = EnsembleGroupRun(PATH, members, POLICY, batch_size=3).run()
+        wide = run_group(members, batch_size=8)
+        narrow = run_group(members, batch_size=3)
         for a, b in zip(wide, narrow):
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.hops, b.hops)
@@ -107,74 +123,68 @@ class TestGroupEquivalence:
 
     def test_istate_validated_against_path(self):
         with pytest.raises(ValueError, match="istate"):
-            EnsembleGroupRun(PATH, [EnsembleMember(2, 9, 1)], POLICY)
+            group([EnsembleMember(2, 9, 1)])
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            EnsembleGroupRun(PATH, [], POLICY)
+            group([])
 
     def test_results_before_completion_rejected(self):
-        group = EnsembleGroupRun(
-            PATH, [EnsembleMember(4, 0, 1)], POLICY, batch_size=2
-        )
-        with pytest.raises(RuntimeError, match="incomplete"):
-            group.results()
+        with group([EnsembleMember(4, 0, 1)], batch_size=2) as g:
+            with pytest.raises(RuntimeError, match="incomplete"):
+                g.results()
 
 
 class TestRounds:
     def test_round_records(self):
-        group = EnsembleGroupRun(
-            PATH, [EnsembleMember(8, 0, 5)], POLICY,
-            batch_size=2, round_size=3,
-        )
-        assert len(group.tasks) == 4
-        assert group.rounds_remaining == 2
-        rec = group.md_step()
-        assert (rec.step, rec.tasks_run, rec.tasks_done) == (1, 3, 3)
-        rec = group.md_step()
-        assert (rec.tasks_run, rec.tasks_done, rec.tasks_total) == (1, 4, 4)
-        assert group.complete
-        assert group.rounds_remaining == 0
+        with group([EnsembleMember(8, 0, 5)], batch_size=2,
+                   round_size=3) as g:
+            assert len(g.batches) == 4
+            assert g.rounds_remaining == 2
+            rec = g.md_step()
+            assert (rec.step, rec.batches_run, rec.batches_done) == (1, 3, 3)
+            rec = g.md_step()
+            assert (rec.batches_run, rec.batches_done,
+                    rec.batches_total) == (1, 4, 4)
+            assert g.complete
+            assert g.rounds_remaining == 0
 
 
 class TestCheckpoint:
-    def make_group(self, **kw):
-        members = [EnsembleMember(4, 3, 7), EnsembleMember(2, 1, 8)]
-        return EnsembleGroupRun(PATH, members, POLICY, batch_size=2,
-                                round_size=1, **kw)
+    MEMBERS = [EnsembleMember(4, 3, 7), EnsembleMember(2, 1, 8)]
 
     def test_round_trip_resumes_bitwise(self, tmp_path):
         ckpt = tmp_path / "group.npz"
-        half = self.make_group()
-        half.md_step()
-        half.save_state(ckpt)
+        with group(self.MEMBERS, batch_size=2, round_size=1) as half:
+            half.md_step()
+            half.save_state(ckpt)
 
-        resumed = self.make_group()
-        resumed.load_state(ckpt)
-        assert resumed.step_count == 1
-        assert np.array_equal(resumed.done, half.done)
-        results = resumed.run()
+        with group(self.MEMBERS, batch_size=2, round_size=1) as resumed:
+            resumed.load_state(ckpt)
+            assert resumed.step_count == 1
+            assert np.array_equal(resumed.done, half.done)
+            resumed.run()
+            results = resumed.results()
 
-        straight = self.make_group().run()
+        straight = run_group(self.MEMBERS, batch_size=2)
         for a, b in zip(results, straight):
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.hops, b.hops)
 
     def test_fingerprint_mismatch_detected(self, tmp_path):
         ckpt = tmp_path / "group.npz"
-        self.make_group().save_state(ckpt)
-        other = EnsembleGroupRun(
-            PATH, [EnsembleMember(4, 3, 7), EnsembleMember(2, 1, 9)],
-            POLICY, batch_size=2,
-        )
-        with pytest.raises(CheckpointCorruptError, match="fingerprint"):
-            other.load_state(ckpt)
+        with group(self.MEMBERS, batch_size=2) as g:
+            g.save_state(ckpt)
+        other = [EnsembleMember(4, 3, 7), EnsembleMember(2, 1, 9)]
+        with group(other, batch_size=2) as g:
+            with pytest.raises(CheckpointCorruptError, match="fingerprint"):
+                g.load_state(ckpt)
 
     def test_supervised_group_equals_unsupervised(self, tmp_path):
         members = [EnsembleMember(5, 2, 31), EnsembleMember(3, 0, 32)]
-        group = EnsembleGroupRun(PATH, members, POLICY, batch_size=3)
-        supervised = run_group_supervised(group, tmp_path / "ck")
-        plain = EnsembleGroupRun(PATH, members, POLICY, batch_size=3).run()
+        with group(members, batch_size=3) as g:
+            supervised = run_group_supervised(g, tmp_path / "ck")
+        plain = run_group(members, batch_size=3)
         for a, b in zip(supervised, plain):
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.final_active, b.final_active)
