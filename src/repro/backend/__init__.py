@@ -1,9 +1,9 @@
 """Array-API namespace layer: one kernel source, many substrates.
 
-Kernels obtain a namespace with ``xp = get_namespace(backend)`` and are
-written against the array-API standard subset; ``backend`` is threaded
-explicitly through ``PropagatorConfig`` / ``NonlocalCorrector`` /
-``PoissonMultigrid`` construction (no process globals).  See
+Dispatching kernels obtain a namespace with ``xp = get_namespace(backend)``
+and are written against the array-API standard subset; ``backend`` is
+threaded explicitly through ``PropagatorConfig`` and the ensemble
+config (no process globals).  See
 :mod:`repro.backend.registry` for the dispatch rules and
 :mod:`repro.backend.strict_shim` for the strict fallback namespace.
 """

@@ -1,16 +1,19 @@
 """Array-API backend registry: named, picklable namespace handles.
 
 The kernel layer never imports ``numpy`` conditionally or consults a
-process-global "current backend"; instead every kernel entry point takes
-an explicit ``backend=`` argument (a name or an :class:`ArrayBackend`)
-and resolves it here.  The handle carries
+process-global "current backend"; instead every dispatching kernel entry
+point takes an explicit ``backend=`` argument (a name or an
+:class:`ArrayBackend`) and resolves it here.  The handle carries
 
-* ``name``   -- the registry key (``"numpy"``, ``"array_api_strict"``);
-* ``xp``     -- the array-API namespace module to compute with;
-* ``native`` -- True when ``xp`` *is* NumPy, i.e. the kernel may take its
-  pre-refactor fast path (fancy indexing, einsum, in-place views) with
-  **bit-identical** results, because the namespace refactor is then a
-  pure re-spelling of the same floating-point program.
+* ``name`` -- the registry key (``"numpy"``, ``"array_api_strict"``);
+* ``xp``   -- the array-API namespace module to compute with.
+
+Each operator has one kernel body.  A dispatching kernel (kinetic,
+potential phase, CAP, the FSSH amplitude kernels) is written against
+``xp`` and runs unchanged on every substrate; on NumPy, ``xp`` *is* the
+``numpy`` module, so that body is the NumPy program itself.  Operators
+with no bitwise, equally fast array-API spelling (the nonlocal
+correction, the Hartree solve) are host NumPy and take no backend.
 
 Handles pickle **by name** (``__reduce__`` returns ``get_backend(name)``)
 so they survive the process-spawn executor boundary: a worker unpickles
@@ -44,7 +47,6 @@ class ArrayBackend:
 
     name: str
     xp: Any = field(repr=False, compare=False)
-    native: bool = field(default=True, compare=False)
 
     def __reduce__(self):
         # Pickle by name: namespace modules cannot cross a spawn boundary,
@@ -53,9 +55,11 @@ class ArrayBackend:
 
     # ---- boundary converters ------------------------------------- #
     def asarray(self, obj: Any, dtype: Any = None) -> Any:
-        """Import host data into this backend's namespace (the boundary)."""
-        if self.native:
-            return np.asarray(obj, dtype=dtype)
+        """Import host data into this backend's namespace (the boundary).
+
+        On NumPy an ndarray of the right dtype comes back as itself, so
+        an in-place kernel updates the caller's array directly.
+        """
         if dtype is None:
             return self.xp.asarray(obj)
         return self.xp.asarray(obj, dtype=dtype)
@@ -90,11 +94,9 @@ def get_backend(backend: Union[str, ArrayBackend, None] = None) -> ArrayBackend:
     if handle is not None:
         return handle
     if name == "numpy":
-        handle = ArrayBackend(name="numpy", xp=np, native=True)
+        handle = ArrayBackend(name="numpy", xp=np)
     elif name == "array_api_strict":
-        handle = ArrayBackend(
-            name="array_api_strict", xp=_strict_namespace(), native=False
-        )
+        handle = ArrayBackend(name="array_api_strict", xp=_strict_namespace())
     else:
         raise ValueError(
             f"unknown array backend {name!r}; expected one of "

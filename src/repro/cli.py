@@ -78,7 +78,7 @@ def _install_profile(args: argparse.Namespace) -> None:
 
 #: Kernel tunables whose ``backend`` parameter selects the array-API
 #: substrate (the ``parallel.executor`` ``backend`` is the executor kind).
-_ARRAY_BACKEND_TUNABLES = ("lfd.kin_prop", "lfd.nonlocal", "multigrid.poisson")
+_ARRAY_BACKEND_TUNABLES = ("lfd.kin_prop",)
 
 
 def _install_array_backend(args: argparse.Namespace) -> None:
@@ -608,8 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--array-backend",
                      choices=("numpy", "array_api_strict", "auto"),
                      default=None,
-                     help="array-API substrate for the hot kernels "
-                          "(default: resolve from the tuning profile)")
+                     help="array-API substrate for the LFD propagation "
+                          "kernels (default: resolve from the tuning "
+                          "profile)")
     run.add_argument("--tuning-profile",
                      help="activate a tuned parameter profile written by "
                           "'tune --profile-out'")
@@ -826,14 +827,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     from repro.resilience.atomicio import CheckpointCorruptError
     from repro.resilience.liveness import DeadlineExceeded
+    from repro.tuning.profile import TuningProfileError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CheckpointCorruptError, DeadlineExceeded) as exc:
-        # An expired --deadline is an intentional bound and an archive
-        # that fails verification is bad input, not a crash.
+    except (CheckpointCorruptError, DeadlineExceeded,
+            TuningProfileError) as exc:
+        # An expired --deadline is an intentional bound; an archive that
+        # fails verification or an unusable --tuning-profile is bad
+        # input, not a crash.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

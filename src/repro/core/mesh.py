@@ -132,7 +132,7 @@ def _lfd_domain_task(args: tuple) -> np.ndarray:
                 dtype=basis.dtype,
                 data=basis.psi[..., lumo:],
             )
-            corrector = NonlocalCorrector(ref, dsci, backend=array_backend)
+            corrector = NonlocalCorrector(ref, dsci)
     prop = QDPropagator(
         prop_wf,
         vloc,

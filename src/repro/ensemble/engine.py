@@ -57,7 +57,7 @@ class EnsembleConfig:
     path (the photoexcited carrier relaxing downward).  ``batch_size=
     None`` resolves from the active tuning profile's ``ensemble.swarm``
     tunable.  ``array_backend`` names the array-API substrate for the
-    batched FSSH kernels (``None`` = native NumPy); it travels to the
+    batched FSSH kernels (``None`` = NumPy); it travels to the
     workers as a plain name, so process-spawn batches use it too.
     """
 

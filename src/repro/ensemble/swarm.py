@@ -29,12 +29,9 @@ from repro.parallel.executor import chunk_rng
 from repro.qxmd.sh_kernels import (
     HopPolicy,
     apply_edc_batch,
-    apply_edc_batch_xp,
     batched_norm,
     hop_probabilities_batch,
-    hop_probabilities_batch_xp,
     propagate_amplitudes_batch,
-    propagate_amplitudes_batch_xp,
     resolve_hops,
     select_hops,
 )
@@ -78,7 +75,7 @@ class SwarmState:
             raise ValueError("active must have shape (ntraj,)")
         if np.any((self.active < 0) | (self.active >= nstates)):
             raise ValueError("active state out of range")
-        norms = batched_norm(self.amplitudes)
+        norms = batched_norm(np, self.amplitudes)
         dead = np.nonzero(norms == 0.0)[0]
         if dead.size:
             raise ValueError(
@@ -153,30 +150,19 @@ def step_swarm(
     """
     assert swarm.ke_factor is not None and swarm.hop_counts is not None
     b = get_backend(backend)
-    if b.native:
-        c = propagate_amplitudes_batch(
-            swarm.amplitudes, energies, nac, dt, substeps
+    xp = b.xp
+    cx = b.asarray(swarm.amplitudes)
+    ex = b.asarray(energies)
+    nacx = b.asarray(nac)
+    actx = b.asarray(swarm.active)
+    cx = propagate_amplitudes_batch(xp, cx, ex, nacx, dt, substeps)
+    if policy.dec_correction == "edc":
+        cx = apply_edc_batch(
+            xp, cx, actx, ex, dt, b.asarray(kinetic), policy.edc_parameter
         )
-        if policy.dec_correction == "edc":
-            c = apply_edc_batch(
-                c, swarm.active, energies, dt, kinetic, policy.edc_parameter
-            )
-        g = hop_probabilities_batch(c, swarm.active, nac, dt)
-    else:
-        xp = b.xp
-        cx = b.asarray(swarm.amplitudes)
-        ex = b.asarray(energies)
-        nacx = b.asarray(nac)
-        actx = b.asarray(swarm.active)
-        cx = propagate_amplitudes_batch_xp(xp, cx, ex, nacx, dt, substeps)
-        if policy.dec_correction == "edc":
-            cx = apply_edc_batch_xp(
-                xp, cx, actx, ex, dt, b.asarray(kinetic),
-                policy.edc_parameter,
-            )
-        gx = hop_probabilities_batch_xp(xp, cx, actx, nacx, dt)
-        c = to_numpy(cx)
-        g = to_numpy(gx)
+    gx = hop_probabilities_batch(xp, cx, actx, nacx, dt)
+    c = to_numpy(cx)
+    g = to_numpy(gx)
     target = select_hops(g, xi)
     attempted = target >= 0
     safe_target = np.where(attempted, target, swarm.active)

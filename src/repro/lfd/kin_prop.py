@@ -30,11 +30,16 @@ Variant        Paper analogue
                whole-array operations -- the analogue of
                ``target teams distribute collapse(3)`` + ``parallel for
                simd``.  This is the variant executed on the virtual
-               GPU device (with ``nowait`` async launch modelling).
+               GPU device (with ``nowait`` async launch modelling),
+               and the one written against the array-API namespace
+               ``xp``: it is the kinetic kernel on every substrate.
 =============  =======================================================
 
 All variants produce bit-identical results for the same inputs (up to
 floating-point reassociation) and are cross-checked in the tests.
+``baseline``, ``interchange`` and ``blocked`` are the NumPy execution
+schedules of Table I; ``blocked`` and ``collapsed`` share one pair
+update (:func:`_pair_update`).
 """
 
 from __future__ import annotations
@@ -93,23 +98,44 @@ def kin_prop_baseline(  # dclint: disable=DCL006 -- timed by kinetic_step
 
 
 # --------------------------------------------------------------------- #
-# shared pair update used by the optimized variants
+# the pair update (Algorithms 4 and 5), in any array-API namespace
 # --------------------------------------------------------------------- #
-def _apply_pass_block(
-    p: np.ndarray,
-    coeff: PairSplitCoefficients,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> None:
-    """In-place pair update on ``p`` of shape (n, ...) along its axis 0."""
-    extra = p.ndim - 1
-    bshape = (-1,) + (1,) * extra
-    bu_l = coeff.bu[left].reshape(bshape)
-    bl_r = coeff.bl[right].reshape(bshape)
-    p_l = p[left]   # fancy indexing -> copies of the old values
-    p_r = p[right]
+def _pair_update(xp: Any, p: Any, coeff: PairSplitCoefficients, axis: int) -> None:
+    """In-place pair update of one pass on ``p`` along ``axis``.
+
+    The pairs of parity ``q`` are ``(q + 2k, q + 2k + 1)``: the left
+    members are the strided slice ``q::2``, and so are the right members,
+    except that the odd pass's last pair wraps to ``(n - 1, 0)`` (joined
+    on with ``concat``).  The left members are copied because their
+    update overwrites values the right update still reads; the right
+    members are copied too, so both operands are contiguous.  Only
+    slicing and slice assignment touch ``p``, so this is the same
+    floating-point program as a fancy-index pair update in every
+    namespace.
+    """
+    par = coeff.parity
+    lead = (slice(None),) * axis
+    bshape = tuple(-1 if d == axis else 1 for d in range(len(p.shape)))
+    left = lead + (slice(par, None, 2),)
+    right = lead + (slice(par + 1, None, 2),)
+    bu = xp.asarray(coeff.bu)
+    bl = xp.asarray(coeff.bl)
+    bu_l = xp.reshape(bu[par::2], bshape)
+    p_l = xp.asarray(p[left], copy=True)
+    if par == 0:
+        bl_r = xp.reshape(bl[1::2], bshape)
+        p_r = xp.asarray(p[right], copy=True)
+    else:
+        wrap = lead + (slice(0, 1),)
+        bl_r = xp.reshape(xp.concat((bl[2::2], bl[:1])), bshape)
+        p_r = xp.concat((p[right], p[wrap]), axis=axis)
     p[left] = coeff.al * p_l + bu_l * p_r
-    p[right] = coeff.al * p_r + bl_r * p_l
+    new_r = coeff.al * p_r + bl_r * p_l
+    if par == 0:
+        p[right] = new_r
+    else:
+        p[right] = new_r[lead + (slice(None, -1),)]
+        p[wrap] = new_r[lead + (slice(-1, None),)]
 
 
 # --------------------------------------------------------------------- #
@@ -177,76 +203,46 @@ def kin_prop_blocked(  # dclint: disable=DCL006 -- timed by kinetic_step
     n, na, _, norb = p.shape
     if coeff.n != n:
         raise ValueError("coefficient length does not match grid axis")
-    left, right = _pair_indices(n, coeff.parity)
     nblocks = (norb + block_size - 1) // block_size
     for j in range(na):
         plane = p[:, j]  # (n, b, norb) view
         for ib in range(nblocks):
             b0 = ib * block_size
             b1 = min(b0 + block_size, norb)
-            _apply_pass_block(plane[..., b0:b1], coeff, left, right)
+            _pair_update(np, plane[..., b0:b1], coeff, 0)
 
 
 # --------------------------------------------------------------------- #
 # Algorithm 5: fully collapsed (the GPU kernel)
 # --------------------------------------------------------------------- #
 def kin_prop_collapsed(  # dclint: disable=DCL006 -- timed by kinetic_step
-    soa: np.ndarray, coeff: PairSplitCoefficients, axis: int
+    xp: Any, psi: Any, coeff: PairSplitCoefficients, axis: int
 ) -> None:
-    """Collapsed kernel (Algorithm 5): whole-array pair update.
+    """Collapsed kernel (Algorithm 5): whole-array pair update, in place.
 
     All plane/orbital parallelism is exposed at once -- the analogue of
     ``collapse(3)`` over teams with ``parallel for simd`` inside.  This is
-    the payload executed by the virtual GPU.
+    the payload executed by the virtual GPU, and the one kinetic body
+    that runs in any array-API namespace ``xp`` (``psi`` is an SoA array
+    of that namespace).
     """
-    if soa.ndim != 4:
+    if len(psi.shape) != 4:
         raise ValueError("SoA data must have shape (nx, ny, nz, norb)")
-    p = np.moveaxis(soa, axis, 0)
-    n = p.shape[0]
-    if coeff.n != n:
+    if coeff.n != psi.shape[axis]:
         raise ValueError("coefficient length does not match grid axis")
-    left, right = _pair_indices(n, coeff.parity)
-    _apply_pass_block(p, coeff, left, right)
+    _pair_update(xp, psi, coeff, axis)
 
 
-#: Registry of kernel variants (name -> callable(soa_or_aos, coeff, axis)).
-#: ``blocked`` additionally accepts ``block_size=``; the common calling
-#: convention is positional ``(data, coeff, axis)`` with ``None`` return.
+#: Registry of kernel variants (name -> in-place pass kernel).  The NumPy
+#: schedules take ``(data, coeff, axis)`` (``blocked`` also accepts
+#: ``block_size=``); ``collapsed`` takes the namespace first,
+#: ``(xp, soa, coeff, axis)``.
 KIN_PROP_VARIANTS: Dict[str, Callable[..., None]] = {
     "baseline": kin_prop_baseline,
     "interchange": kin_prop_interchange,
     "blocked": kin_prop_blocked,
     "collapsed": kin_prop_collapsed,
 }
-
-
-# --------------------------------------------------------------------- #
-# portable array-API pass (any namespace)
-# --------------------------------------------------------------------- #
-def kin_prop_pass_xp(xp: Any, psi: Any, coeff: PairSplitCoefficients, axis: int) -> Any:  # dclint: disable=DCL006 -- timed by kinetic_step
-    """One splitting pass in an arbitrary array-API namespace ``xp``.
-
-    Computes the generic tridiagonal-shaped update of Algorithm 1,
-
-        psi'[i] = al * psi[i] + bl[i] * psi[i-1] + bu[i] * psi[i+1],
-
-    with periodic neighbours expressed as ``roll`` (no fancy indexing --
-    the array API has none) so the identical source runs under NumPy,
-    array-api-strict and, later, CuPy/JAX/PyTorch namespaces.  Exactly
-    one of ``bl[i]``/``bu[i]`` is non-zero per point, so this is the same
-    floating-point program as the pair-update variants up to the addition
-    of an exact zero.  Returns the updated array (out of place).
-    """
-    n = psi.shape[axis]
-    if coeff.n != n:
-        raise ValueError("coefficient length does not match grid axis")
-    bshape = [1] * len(psi.shape)
-    bshape[axis] = n
-    bl = xp.reshape(xp.asarray(coeff.bl), tuple(bshape))
-    bu = xp.reshape(xp.asarray(coeff.bu), tuple(bshape))
-    down = xp.roll(psi, 1, axis=axis)   # psi[i-1] (periodic)
-    up = xp.roll(psi, -1, axis=axis)    # psi[i+1] (periodic)
-    return coeff.al * psi + bl * down + bu * up
 
 
 def kinetic_step(
@@ -274,34 +270,32 @@ def kinetic_step(
     to :func:`kin_prop_blocked`, which resolves the tile width from the
     active TuningProfile.
 
-    ``backend`` selects the array-API substrate.  ``None``/``"numpy"``
-    runs the pre-refactor native kernels bit-identically; any other
-    namespace routes every variant through :func:`kin_prop_pass_xp`
-    (variants are an execution-schedule dimension, meaningful only on the
-    native substrate) with ``asarray``/``to_numpy`` conversion at the
-    kernel boundary -- the same shape a device-transfer boundary takes.
+    ``backend`` selects the array-API substrate.  ``collapsed`` runs in
+    that namespace, with ``asarray``/``to_numpy`` at the kernel boundary
+    -- the shape a device-transfer boundary takes; on NumPy the update
+    happens in ``wf.psi`` itself.  The other variants are the NumPy
+    execution schedules of Table I, so any other namespace runs
+    ``collapsed`` whatever ``variant`` says.
     """
     if variant not in KIN_PROP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; options: {sorted(KIN_PROP_VARIANTS)}")
     b = get_backend(backend)
+    if b.xp is not np:
+        variant = "collapsed"
     with trace_span("kin_prop", "kinetic", variant=variant, backend=b.name):
         # 9 pair-split passes, 14 real flops and 3 complex-word streams
         # per point-orbital per pass (see repro.lfd.costs.kin_prop_pass).
         pts = wf.grid.npoints * wf.norb
         trace_charge(9.0 * 14.0 * pts, 9.0 * 3.0 * wf.psi.itemsize * pts)
-        if not b.native:
-            xp = b.xp
-            single = wf.dtype == np.complex64
-            psi = xp.asarray(wf.psi)
+        if variant == "collapsed":
+            psi = b.asarray(wf.psi)
             for axis in range(3):
                 n = wf.grid.shape[axis]
                 h = wf.grid.spacing[axis]
                 for coeff in strang_passes(n, h, dt, theta=theta[axis], mass=mass):
-                    psi = kin_prop_pass_xp(xp, psi, coeff, axis)
-                    if single:
-                        # mirror the native kernels' per-pass rounding
-                        psi = xp.astype(psi, xp.complex64, copy=False)
-            wf.psi[...] = to_numpy(psi).astype(wf.dtype, copy=False)
+                    kin_prop_collapsed(b.xp, psi, coeff, axis)
+            if psi is not wf.psi:
+                wf.psi[...] = to_numpy(psi)
             return
         if variant == "baseline":
             data = wf.to_aos()

@@ -21,11 +21,10 @@ are implemented here and are tested to agree to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.constants import HBAR
 from repro.lfd.wavefunction import WaveFunctionSet
 from repro.obs import trace_charge, trace_span
@@ -134,49 +133,6 @@ def nonlocal_correction_blas_blocked(  # dclint: disable=DCL006 -- timed by Nonl
     wf.psi[...] = psi_new.reshape(wf.psi.shape).astype(wf.dtype, copy=False)
 
 
-def nonlocal_correction_xp(  # dclint: disable=DCL006 -- timed by NonlocalCorrector.apply
-    xp: Any,
-    wf: WaveFunctionSet,
-    ref_unocc: WaveFunctionSet,
-    scissor_shift: float,
-    dt: float,
-    normalize: bool = True,
-    orb_block: Optional[int] = None,
-) -> None:
-    """Apply Eq. (9) in an arbitrary array-API namespace ``xp``.
-
-    The panel-GEMM arithmetic of :func:`nonlocal_correction_blas_blocked`
-    re-spelled onto the array-API subset: ``matrix_transpose``/``conj``/
-    ``@`` for the two GEMMs and the standard's conjugating ``vecdot`` for
-    the normalization (in place of ``einsum``, which the standard lacks).
-    ``orb_block=None`` uses a single full-width panel (the plain Eq. 9
-    form).  Host data crosses the namespace boundary exactly twice.
-    """
-    if ref_unocc.grid.shape != wf.grid.shape:
-        raise ValueError("reference orbitals live on a different grid")
-    dvol = wf.grid.dvol
-    c0 = -1j * scissor_shift * dt / (2.0 * HBAR)
-    psi = xp.asarray(wf.as_matrix())      # (Ngrid, Norb)
-    phi = xp.asarray(ref_unocc.as_matrix())   # (Ngrid, Nunocc)
-    nun = ref_unocc.norb
-    blk = nun if orb_block is None else int(orb_block)
-    if blk < 1:
-        raise ValueError("orb_block must be positive")
-    corr = xp.zeros_like(psi)
-    for b0 in range(0, nun, blk):
-        panel = phi[:, b0:b0 + blk]
-        overlaps = (xp.matrix_transpose(xp.conj(panel)) @ psi) * dvol
-        corr = corr + panel @ overlaps
-    psi_new = psi + c0 * corr
-    if normalize:
-        nrm = xp.sqrt(xp.real(xp.vecdot(psi_new, psi_new, axis=0)) * dvol)
-        nrm = xp.where(nrm == 0.0, 1.0, nrm)
-        psi_new = psi_new / nrm
-    wf.psi[...] = (
-        to_numpy(psi_new).reshape(wf.psi.shape).astype(wf.dtype, copy=False)
-    )
-
-
 #: Selectable nonlocal-correction variants (cf. KIN_PROP_VARIANTS).
 NONLOCAL_VARIANTS = ("naive", "blas", "blas_blocked")
 
@@ -202,20 +158,16 @@ class NonlocalCorrector:
     orb_block:
         Panel width of the ``blas_blocked`` variant; None resolves from
         the active tuning profile.
-    backend:
-        Array-API substrate (name or :class:`~repro.backend.ArrayBackend`
-        handle); None resolves from the active tuning profile, falling
-        back to ``"numpy"`` for profiles persisted before the backend
-        dimension existed.  The native substrate runs the pre-refactor
-        variant kernels bit-identically; any other namespace routes
-        through :func:`nonlocal_correction_xp`.
+
+    The correction runs on host NumPy on every substrate: its
+    normalization is an ``einsum`` reduction that no array-API spelling
+    reproduces bit for bit.
     """
 
     ref_unocc: WaveFunctionSet
     scissor_shift: float
     variant: Optional[str] = None
     orb_block: Optional[int] = None
-    backend: Union[str, ArrayBackend, None] = None
 
     def __post_init__(self) -> None:
         from repro.tuning.profile import get_active_profile
@@ -225,9 +177,6 @@ class NonlocalCorrector:
             self.variant = str(params["variant"])
         if self.orb_block is None:
             self.orb_block = int(params["orb_block"])  # type: ignore[arg-type]
-        if self.backend is None:
-            self.backend = str(params.get("backend", "numpy"))
-        self.backend = get_backend(self.backend)
         if self.variant not in NONLOCAL_VARIANTS:
             raise ValueError(
                 f"variant must be one of {', '.join(NONLOCAL_VARIANTS)}"
@@ -237,22 +186,13 @@ class NonlocalCorrector:
 
     def apply(self, wf: WaveFunctionSet, dt: float, normalize: bool = True) -> None:
         """One nonlocal half-factor of Eq. (6) applied in place."""
-        b = get_backend(self.backend)
-        with trace_span("nonlocal_corr", "nonlocal", variant=self.variant,
-                        backend=b.name):
+        with trace_span("nonlocal_corr", "nonlocal", variant=self.variant):
             ngrid = wf.grid.npoints
             trace_charge(
                 self.flop_count(wf.norb, ngrid),
                 self.byte_count(wf.norb, ngrid, wf.psi.itemsize),
             )
-            if not b.native:
-                nonlocal_correction_xp(
-                    b.xp, wf, self.ref_unocc, self.scissor_shift, dt,
-                    normalize=normalize,
-                    orb_block=(int(self.orb_block)
-                               if self.variant == "blas_blocked" else None),
-                )
-            elif self.variant == "blas":
+            if self.variant == "blas":
                 nonlocal_correction_blas(
                     wf, self.ref_unocc, self.scissor_shift, dt, normalize=normalize
                 )

@@ -24,13 +24,10 @@ def potential_phase(  # dclint: disable=DCL006 -- timed by potential_phase_step
     dt: float,
     backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
-    """The diagonal phase field exp(-i dt v_loc / hbar)."""
+    """The diagonal phase field exp(-i dt v_loc / hbar), as host NumPy."""
     b = get_backend(backend)
-    if b.native:
-        return np.exp(-1j * (dt / HBAR) * np.asarray(vloc, dtype=float))
-    xp = b.xp
-    v = xp.asarray(np.asarray(vloc, dtype=float))
-    return to_numpy(xp.exp((-1j * (dt / HBAR)) * v))
+    v = b.asarray(np.asarray(vloc, dtype=float))
+    return to_numpy(b.xp.exp((-1j * (dt / HBAR)) * v))
 
 
 def potential_phase_step(
@@ -55,9 +52,9 @@ def potential_phase_step(
         QD sub-steps while the potential is frozen -- the shadow-dynamics
         amortization).
     backend:
-        Array-API substrate; ``None``/``"numpy"`` is the pre-refactor
-        native path, anything else applies the phase in that namespace
-        with boundary conversion.
+        Array-API substrate the multiply runs in.  On NumPy it updates
+        ``wf.psi`` itself; another namespace gets a boundary copy in
+        and out.
 
     Returns
     -------
@@ -79,12 +76,8 @@ def potential_phase_step(
             phase_cast = phase.astype(np.complex64)
         else:
             phase_cast = phase
-        if b.native:
-            wf.psi *= phase_cast[..., None]
-        else:
-            xp = b.xp
-            psi = xp.asarray(wf.psi) * xp.expand_dims(
-                xp.asarray(phase_cast), axis=-1
-            )
-            wf.psi[...] = to_numpy(psi).astype(wf.dtype, copy=False)
+        psi = b.asarray(wf.psi)
+        psi *= b.asarray(phase_cast)[..., None]
+        if psi is not wf.psi:
+            wf.psi[...] = to_numpy(psi)
     return phase

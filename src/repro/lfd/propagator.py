@@ -55,10 +55,10 @@ class PropagatorConfig:
         propagator is unitary to round-off, so this is a guard, not a
         physics knob.
     backend:
-        Array-API substrate for the propagation kernels (name or
-        :class:`~repro.backend.ArrayBackend` handle); None resolves from
-        the active tuning profile, falling back to ``"numpy"`` for
-        profiles persisted before the backend dimension existed.  The
+        Array-API substrate of the kinetic, potential-phase and CAP
+        kernels (name or :class:`~repro.backend.ArrayBackend` handle);
+        None resolves from the ``lfd.kin_prop`` tunable of the active
+        tuning profile.  The nonlocal correction is NumPy-only.  The
         resolved handle pickles by name, so configs cross the
         process-spawn executor boundary intact.
     """
@@ -231,17 +231,11 @@ class QDPropagator:
                     t += frac * dt
             if self._cap_factor is not None:
                 b = get_backend(cfg.backend)
-                if b.native:
-                    self.wf.psi *= self._cap_factor[..., None].astype(self.wf.dtype)
-                else:
-                    xp = b.xp
-                    damp = xp.asarray(
-                        self._cap_factor.astype(self.wf.dtype, copy=False)
-                    )
-                    psi = xp.asarray(self.wf.psi) * xp.expand_dims(damp, axis=-1)
-                    self.wf.psi[...] = to_numpy(psi).astype(
-                        self.wf.dtype, copy=False
-                    )
+                damp = b.asarray(self._cap_factor.astype(self.wf.dtype))
+                psi = b.asarray(self.wf.psi)
+                psi *= damp[..., None]
+                if psi is not self.wf.psi:
+                    self.wf.psi[...] = to_numpy(psi)
         spec = fault_point("lfd.nan")
         if spec is not None:
             orb = int(spec.payload.get("orbital", 0)) % self.wf.norb

@@ -9,74 +9,35 @@ coarsening; the coarsest level is solved exactly in Fourier space (it is
 a handful of points).  Periodic boundary conditions leave the constant
 mode undetermined, so the right-hand side is projected to zero mean and
 the returned potential is mean-free.
+
+The solver is host NumPy.  The paper runs it inside QXMD on the CPU,
+and its residual history (``np.linalg.norm``) and buffer-reusing
+smoothers have no array-API spelling that is bitwise and as fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.grids.grid import Grid3D
 from repro.obs import trace_span
 from repro.multigrid.smoothers import (
     red_black_gauss_seidel,
-    red_black_gauss_seidel_xp,
     residual,
-    residual_xp,
     weighted_jacobi,
-    weighted_jacobi_xp,
 )
-from repro.multigrid.transfer import (
-    prolong_trilinear,
-    prolong_trilinear_xp,
-    restrict_full_weighting,
-    restrict_full_weighting_xp,
-)
+from repro.multigrid.transfer import prolong_trilinear, restrict_full_weighting
 
 
-def solve_poisson_fft_xp(xp: Any, rho: Any, grid: Grid3D) -> Any:
-    """FFT Poisson solve in an arbitrary array-API namespace ``xp``.
-
-    Same discrete-Laplacian spectral division as the native path, spelled
-    on the array-API subset (``fft`` extension, ``reshape``, pointwise
-    setitem on the null mode).  Takes and returns arrays of ``xp``.
-    """
-    if tuple(rho.shape) != grid.shape:
-        raise ValueError(f"density shape {tuple(rho.shape)} != grid shape {grid.shape}")
-    rho = rho - xp.mean(rho)
-    rho_k = xp.fft.fftn(rho)
-    eig = xp.zeros(grid.shape)
-    for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        k = xp.fft.fftfreq(n) * (2.0 * xp.pi)
-        lam = (2.0 * xp.cos(k) - 2.0) / (h * h)  # eigenvalues of 1-D FD Laplacian
-        shape = [1, 1, 1]
-        shape[axis] = n
-        eig = eig + xp.reshape(lam, tuple(shape))
-    eig[0, 0, 0] = 1.0  # avoid division by zero on the null mode
-    v_k = (-4.0 * xp.pi) * rho_k / eig
-    v_k[0, 0, 0] = 0.0
-    v = xp.real(xp.fft.ifftn(v_k))
-    return v - xp.mean(v)
-
-
-def solve_poisson_fft(
-    rho: np.ndarray,
-    grid: Grid3D,
-    backend: Union[str, ArrayBackend, None] = None,
-) -> np.ndarray:
+def solve_poisson_fft(rho: np.ndarray, grid: Grid3D) -> np.ndarray:
     """Exact periodic Poisson solve via FFT (reference / coarse-level solver).
 
     Solves nabla^2 V = -4 pi rho with the *discrete* 7-point Laplacian so
     that the result is consistent with the multigrid operator.
     """
-    b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        x_rho = xp.asarray(np.asarray(rho, dtype=float))
-        return to_numpy(solve_poisson_fft_xp(xp, x_rho, grid))
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.shape:
         raise ValueError(f"density shape {rho.shape} != grid shape {grid.shape}")
@@ -137,12 +98,6 @@ class PoissonMultigrid:
     min_points:
         Stop coarsening when any axis would drop below this; the coarsest
         level is solved exactly by FFT.
-    backend:
-        Array-API substrate (name or handle); None resolves from the
-        active tuning profile (falling back to ``"numpy"`` for profiles
-        persisted before the backend dimension existed).  On a non-native
-        substrate the whole V-cycle runs in-namespace -- host data
-        crosses the boundary once per solve in each direction.
     """
 
     def __init__(
@@ -152,7 +107,6 @@ class PoissonMultigrid:
         post_sweeps: int | None = None,
         smoother: str | None = None,
         min_points: int = 4,
-        backend: Union[str, ArrayBackend, None] = None,
     ) -> None:
         from repro.tuning.profile import get_active_profile
 
@@ -163,14 +117,11 @@ class PoissonMultigrid:
             post_sweeps = int(params["post_sweeps"])  # type: ignore[arg-type]
         if smoother is None:
             smoother = str(params["smoother"])
-        if backend is None:
-            backend = str(params.get("backend", "numpy"))
         if smoother not in ("jacobi", "rbgs"):
             raise ValueError("smoother must be 'jacobi' or 'rbgs'")
         self.pre_sweeps = int(pre_sweeps)
         self.post_sweeps = int(post_sweeps)
         self.smoother = smoother
-        self.backend = get_backend(backend)
         self.levels: List[Grid3D] = [grid]
         g = grid
         while all(n % 2 == 0 and n // 2 >= min_points for n in g.shape):
@@ -200,24 +151,6 @@ class PoissonMultigrid:
         u = self._smooth(u, f, grid, self.post_sweeps)
         return u
 
-    def _smooth_xp(self, xp: Any, u: Any, f: Any, grid: Grid3D, sweeps: int) -> Any:
-        if self.smoother == "jacobi":
-            return weighted_jacobi_xp(xp, u, f, grid.spacing, sweeps=sweeps)
-        return red_black_gauss_seidel_xp(xp, u, f, grid.spacing, sweeps=sweeps)
-
-    def _vcycle_xp(self, xp: Any, u: Any, f: Any, level: int) -> Any:
-        """In-namespace V-cycle: identical control flow to :meth:`_vcycle`."""
-        grid = self.levels[level]
-        if level == self.nlevels - 1:
-            return solve_poisson_fft_xp(xp, -f / (4.0 * xp.pi), grid)
-        u = self._smooth_xp(xp, u, f, grid, self.pre_sweeps)
-        r = residual_xp(xp, u, f, grid.spacing)
-        r_coarse = restrict_full_weighting_xp(xp, r)
-        e_coarse = self._vcycle_xp(xp, xp.zeros_like(r_coarse), r_coarse, level + 1)
-        u = u + prolong_trilinear_xp(xp, e_coarse, grid.shape)
-        u = self._smooth_xp(xp, u, f, grid, self.post_sweeps)
-        return u
-
     def solve(
         self,
         rho: np.ndarray,
@@ -234,8 +167,6 @@ class PoissonMultigrid:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != grid.shape:
             raise ValueError(f"density shape {rho.shape} != grid shape {grid.shape}")
-        if not self.backend.native:
-            return self._solve_xp(rho, tol, max_cycles, initial_guess)
         f = -4.0 * np.pi * (rho - rho.mean())
         u = (
             np.zeros(grid.shape)
@@ -252,7 +183,7 @@ class PoissonMultigrid:
         r0 = float(np.linalg.norm(residual(u, f, grid.spacing)))
         stats.residual_norms.append(r0)
         with trace_span("poisson.solve", "hartree", npoints=grid.npoints,
-                        nlevels=self.nlevels, backend=self.backend.name):
+                        nlevels=self.nlevels):
             for cycle in range(max_cycles):
                 with trace_span("poisson.vcycle", "hartree", cycle=cycle + 1):
                     u = self._vcycle(u, f, 0)
@@ -264,48 +195,6 @@ class PoissonMultigrid:
                     stats.converged = True
                     break
         return u, stats
-
-    def _solve_xp(
-        self,
-        rho: np.ndarray,
-        tol: float,
-        max_cycles: int,
-        initial_guess: np.ndarray | None,
-    ) -> Tuple[np.ndarray, MultigridStats]:
-        """The in-namespace solve loop of a non-native substrate."""
-        grid = self.levels[0]
-        xp = self.backend.xp
-
-        def _norm(x: Any) -> float:
-            return float(xp.linalg.vector_norm(xp.reshape(x, (-1,))))
-
-        x_rho = xp.asarray(rho)
-        f = (-4.0 * xp.pi) * (x_rho - xp.mean(x_rho))
-        if initial_guess is None:
-            u = xp.zeros(grid.shape)
-        else:
-            u = xp.asarray(np.asarray(initial_guess, dtype=float), copy=True)
-        u = u - xp.mean(u)
-        stats = MultigridStats()
-        f_norm = _norm(f)
-        if f_norm == 0.0:
-            stats.converged = True
-            stats.residual_norms.append(0.0)
-            return to_numpy(u), stats
-        stats.residual_norms.append(_norm(residual_xp(xp, u, f, grid.spacing)))
-        with trace_span("poisson.solve", "hartree", npoints=grid.npoints,
-                        nlevels=self.nlevels, backend=self.backend.name):
-            for cycle in range(max_cycles):
-                with trace_span("poisson.vcycle", "hartree", cycle=cycle + 1):
-                    u = self._vcycle_xp(xp, u, f, 0)
-                u = u - xp.mean(u)
-                r = _norm(residual_xp(xp, u, f, grid.spacing))
-                stats.cycles = cycle + 1
-                stats.residual_norms.append(r)
-                if r <= tol * f_norm:
-                    stats.converged = True
-                    break
-        return to_numpy(u), stats
 
     def work_units(self) -> float:
         """Total grid points touched per V-cycle, in units of fine points.

@@ -7,25 +7,18 @@ The smoothers operate on the discrete Poisson problem
 with periodic boundaries.  Because the periodic Laplacian has a constant
 null space, the solvers work in the mean-zero subspace.
 
-Each public smoother takes a ``backend=`` argument selecting the
-array-API substrate.  The ``None``/``"numpy"`` path is the pre-refactor
-native code, bit for bit; other namespaces run the ``_xp``-suffixed
-portable kernels below, which re-spell the same elementwise arithmetic
-on the array-API subset (``roll`` neighbours; a parity-mask ``where``
-in place of boolean-mask assignment for red-black ordering).  The
-portable kernels take and return arrays *of the namespace* so the
-V-cycle in :mod:`repro.multigrid.poisson` can stay in-namespace across
-a whole solve; the public wrappers convert at the boundary.
+The smoothers are host NumPy, like the whole Hartree solve (the paper
+keeps QXMD's multigrid on the CPU): they reuse caller-owned buffers and
+``out=`` ufuncs, which no array-API spelling matches at the same speed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.grids.stencil import periodic_neighbor_sum
 
 
@@ -86,110 +79,17 @@ def _red_black_masks(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     return red, black
 
 
-# --------------------------------------------------------------------- #
-# portable array-API kernels (operate on arrays of the namespace ``xp``)
-# --------------------------------------------------------------------- #
-def laplacian_periodic_xp(xp: Any, u: Any, spacing: Tuple[float, float, float]) -> Any:
-    """Periodic 7-point Laplacian in an arbitrary array-API namespace."""
-    out = xp.zeros_like(u)
-    for axis in range(3):
-        h2 = spacing[axis] * spacing[axis]
-        out += (xp.roll(u, 1, axis=axis) + xp.roll(u, -1, axis=axis) - 2.0 * u) / h2
-    return out
-
-
-def _neighbor_sum_xp(xp: Any, u: Any, spacing: Tuple[float, float, float]) -> Any:
-    out = xp.zeros_like(u)
-    for axis in range(3):
-        h2 = spacing[axis] * spacing[axis]
-        out += (xp.roll(u, 1, axis=axis) + xp.roll(u, -1, axis=axis)) / h2
-    return out
-
-
-def weighted_jacobi_xp(
-    xp: Any,
-    u: Any,
-    f: Any,
-    spacing: Tuple[float, float, float],
-    sweeps: int = 2,
-    omega: float = 2.0 / 3.0,
-) -> Any:
-    """Damped-Jacobi sweeps on ``L u = f`` in namespace ``xp``."""
-    diag = _diag_coeff(spacing)
-    u = xp.asarray(u, copy=True)
-    for _ in range(sweeps):
-        u_new = (f - _neighbor_sum_xp(xp, u, spacing)) / diag
-        u = u + omega * (u_new - u)
-    return u
-
-
-def _parity_mask_xp(xp: Any, shape: Tuple[int, int, int]) -> Any:
-    """Boolean mask of the red (i+j+k even) sub-lattice, by broadcast."""
-    parity = xp.zeros(shape, dtype=xp.int64)
-    for axis, n in enumerate(shape):
-        idx_shape = [1, 1, 1]
-        idx_shape[axis] = n
-        parity = parity + xp.reshape(xp.arange(n), tuple(idx_shape))
-    return parity % 2 == 0
-
-
-def red_black_gauss_seidel_xp(
-    xp: Any,
-    u: Any,
-    f: Any,
-    spacing: Tuple[float, float, float],
-    sweeps: int = 1,
-) -> Any:
-    """Red-black Gauss-Seidel sweeps on ``L u = f`` in namespace ``xp``.
-
-    Same elementwise arithmetic as the native kernel; the boolean-mask
-    assignment ``u[mask] = rhs[mask] / diag`` becomes a ``where`` select
-    (the array API has no integer-array indexing, and ``where`` keeps
-    the untouched sub-lattice bit-identical).
-    """
-    if any(n % 2 != 0 for n in u.shape):
-        raise ValueError("red-black ordering needs even grid sizes on periodic grids")
-    diag = _diag_coeff(spacing)
-    red = _parity_mask_xp(xp, tuple(u.shape))
-    black = ~red
-    for _ in range(sweeps):
-        for mask in (red, black):
-            rhs = f - _neighbor_sum_xp(xp, u, spacing)
-            u = xp.where(mask, rhs / diag, u)
-    return u
-
-
-def residual_xp(
-    xp: Any, u: Any, f: Any, spacing: Tuple[float, float, float]
-) -> Any:
-    """Residual r = f - L u in namespace ``xp``."""
-    return f - laplacian_periodic_xp(xp, u, spacing)
-
-
-# --------------------------------------------------------------------- #
-# public smoothers (host NumPy in / host NumPy out)
-# --------------------------------------------------------------------- #
 def weighted_jacobi(
     u: np.ndarray,
     f: np.ndarray,
     spacing: Tuple[float, float, float],
     sweeps: int = 2,
     omega: float = 2.0 / 3.0,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """Damped-Jacobi relaxation sweeps on L u = f.
 
     Returns the relaxed field; the input array is not modified.
     """
-    b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        out = weighted_jacobi_xp(
-            xp, xp.asarray(np.asarray(u, dtype=float)),
-            xp.asarray(np.asarray(f, dtype=float)),
-            spacing, sweeps=sweeps, omega=omega,
-        )
-        return to_numpy(out)
     diag = _diag_coeff(spacing)
     u = np.array(u, copy=True)
     nsum = np.empty_like(u)
@@ -205,22 +105,12 @@ def red_black_gauss_seidel(
     f: np.ndarray,
     spacing: Tuple[float, float, float],
     sweeps: int = 1,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """Red-black Gauss-Seidel sweeps on L u = f (even grid sizes, periodic).
 
     Each sweep updates the red sub-lattice (i+j+k even) then the black one,
     which on even-sized periodic grids decouples exactly.
     """
-    b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        out = red_black_gauss_seidel_xp(
-            xp, xp.asarray(np.asarray(u, dtype=float)),
-            xp.asarray(np.asarray(f, dtype=float)),
-            spacing, sweeps=sweeps,
-        )
-        return to_numpy(out)
     u = np.array(u, copy=True)
     if any(n % 2 != 0 for n in u.shape):
         raise ValueError("red-black ordering needs even grid sizes on periodic grids")

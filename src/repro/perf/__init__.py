@@ -1,11 +1,12 @@
-"""Performance instrumentation: a timer, counters, paper-style reports."""
+"""Performance instrumentation: counters and paper-style reports.
 
-from repro.perf.timers import Timer
+Timing is done by :mod:`repro.obs` spans, the one timing mechanism.
+"""
+
 from repro.perf.counters import CounterSet
 from repro.perf.report import Table, format_speedup, format_seconds
 
 __all__ = [
-    "Timer",
     "CounterSet",
     "Table",
     "format_speedup",

@@ -1,12 +1,11 @@
-"""Hartree potential of a charge density (multigrid or FFT backend)."""
+"""Hartree potential of a charge density (multigrid or FFT Poisson solve)."""
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
 from repro.grids.grid import Grid3D
 from repro.multigrid.poisson import PoissonMultigrid, solve_poisson_fft
 from repro.obs import trace_span
@@ -18,26 +17,23 @@ def hartree_potential(
     method: Literal["multigrid", "fft"] = "multigrid",
     solver: Optional[PoissonMultigrid] = None,
     tol: float = 1e-8,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """Solve nabla^2 V_H = -4 pi rho for the (mean-free) Hartree potential.
 
     ``rho`` may be a *net* charge density (electrons minus ions); on a
     periodic cell only its mean-free part is physical and the solver
     projects accordingly.  Pass a prebuilt ``solver`` to amortize the
-    multigrid hierarchy across SCF iterations (its own backend then
-    governs the solve; ``backend`` applies when this function builds the
-    solver, and to the FFT path).
+    multigrid hierarchy across SCF iterations.  Both methods run on host
+    NumPy, as QXMD's Hartree solve does in the paper.
     """
     if method == "fft":
-        b = get_backend(backend)
-        with trace_span("hartree.fft", "hartree", backend=b.name):
-            return solve_poisson_fft(rho, grid, backend=b)
+        with trace_span("hartree.fft", "hartree"):
+            return solve_poisson_fft(rho, grid)
     if method != "multigrid":
         raise ValueError("method must be 'multigrid' or 'fft'")
     if solver is None:
-        solver = PoissonMultigrid(grid, backend=backend)
-    with trace_span("hartree.multigrid", "hartree", backend=solver.backend.name):
+        solver = PoissonMultigrid(grid)
+    with trace_span("hartree.multigrid", "hartree"):
         v, stats = solver.solve(rho, tol=tol)
     if not stats.converged:
         raise RuntimeError(

@@ -21,6 +21,16 @@ Two implementation rules make the invariance hold:
    shape-dependent blocking and break bitwise row equality between a
    ``(1, n)`` and an ``(ntraj, n)`` call.
 
+The amplitude kernels (norm, RK4 propagation, hop probabilities, EDC)
+take the array-API namespace ``xp`` first and are the only source of
+that arithmetic: FSSH calls them with ``np``, the swarm step with its
+substrate's namespace.  They use no integer fancy indexing (one-hot
+boolean masks gather with ``c[onehot]`` and scatter with ``where``),
+which picks the same values, so the per-row operation sequence is the
+same on every namespace.  Hop *selection* and *pricing*
+(:func:`select_hops`, :func:`resolve_hops`) stay host NumPy: they are
+branchy control flow a device port keeps on the CPU as well.
+
 The hopping *policies* (velocity rescaling, frustrated-hop handling,
 energy-based decoherence) mirror unixmd's MQC knob set
 (``hop_rescale`` / ``hop_reject`` / ``dec_correction`` /
@@ -117,7 +127,16 @@ class HopPolicy:
 # --------------------------------------------------------------------- #
 # elementwise building blocks
 # --------------------------------------------------------------------- #
-def batched_norm(c: np.ndarray) -> np.ndarray:
+def _one_hot_active(xp: Any, active: Any, nstates: int) -> Any:
+    """Boolean mask ``(ntraj, nstates)`` selecting each row's active state.
+
+    Indexing with it, ``c[onehot]``, gathers ``c[t, active[t]]`` row by
+    row: one ``True`` per row, in row order.
+    """
+    return active[:, None] == xp.arange(nstates)
+
+
+def batched_norm(xp: Any, c: Any) -> Any:
     """Per-row 2-norm of stacked amplitudes, batch-size invariant.
 
     The state-axis sum is an ordered ``for k`` accumulation, so each
@@ -126,13 +145,13 @@ def batched_norm(c: np.ndarray) -> np.ndarray:
     summation at shape-dependent thresholds and would not be).
     """
     ntraj, nstates = c.shape
-    acc = np.zeros(ntraj, dtype=np.float64)
+    acc = xp.zeros(ntraj, dtype=xp.float64)
     for k in range(nstates):
-        acc = acc + np.abs(c[:, k]) ** 2
-    return np.sqrt(acc)
+        acc = acc + xp.abs(c[:, k]) ** 2
+    return xp.sqrt(acc)
 
 
-def _apply_nac(c: np.ndarray, nac: np.ndarray) -> np.ndarray:
+def _apply_nac(xp: Any, c: Any, nac: Any) -> Any:
     """Row-wise ``nac @ c[t]`` as an ordered state-axis accumulation.
 
     ``out[t, i] = sum_k nac[i, k] * c[t, k]`` with the ``k`` sum running
@@ -140,26 +159,20 @@ def _apply_nac(c: np.ndarray, nac: np.ndarray) -> np.ndarray:
     row regardless of the batch size (BLAS ``matmul`` would not be).
     """
     ntraj, nstates = c.shape
-    acc = np.zeros((ntraj, nstates), dtype=np.complex128)
+    acc = xp.zeros((ntraj, nstates), dtype=xp.complex128)
     for k in range(nstates):
         acc = acc + c[:, k, None] * nac[None, :, k]
     return acc
 
 
-def amplitude_derivative(
-    c: np.ndarray, energies: np.ndarray, nac: np.ndarray
-) -> np.ndarray:
+def amplitude_derivative(xp: Any, c: Any, energies: Any, nac: Any) -> Any:
     """``dc/dt = -(i/hbar) E c - D c`` for stacked amplitudes ``(ntraj, n)``."""
-    return (-1j / HBAR) * energies[None, :] * c - _apply_nac(c, nac)
+    return (-1j / HBAR) * energies[None, :] * c - _apply_nac(xp, c, nac)
 
 
 def propagate_amplitudes_batch(
-    c: np.ndarray,
-    energies: np.ndarray,
-    nac: np.ndarray,
-    dt: float,
-    substeps: int,
-) -> np.ndarray:
+    xp: Any, c: Any, energies: Any, nac: Any, dt: float, substeps: int
+) -> Any:
     """RK4 integration of stacked amplitudes over one MD step.
 
     Returns the new, per-row renormalized amplitude array (the NAC is
@@ -170,39 +183,41 @@ def propagate_amplitudes_batch(
         raise ValueError("substeps must be positive")
     h = dt / substeps
     for _ in range(substeps):
-        k1 = amplitude_derivative(c, energies, nac)
-        k2 = amplitude_derivative(c + 0.5 * h * k1, energies, nac)
-        k3 = amplitude_derivative(c + 0.5 * h * k2, energies, nac)
-        k4 = amplitude_derivative(c + h * k3, energies, nac)
+        k1 = amplitude_derivative(xp, c, energies, nac)
+        k2 = amplitude_derivative(xp, c + 0.5 * h * k1, energies, nac)
+        k3 = amplitude_derivative(xp, c + 0.5 * h * k2, energies, nac)
+        k4 = amplitude_derivative(xp, c + h * k3, energies, nac)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return c / batched_norm(c)[:, None]
+    return c / batched_norm(xp, c)[:, None]
 
 
 # --------------------------------------------------------------------- #
 # hop probabilities and selection
 # --------------------------------------------------------------------- #
 def hop_probabilities_batch(
-    c: np.ndarray, active: np.ndarray, nac: np.ndarray, dt: float
-) -> np.ndarray:
+    xp: Any, c: Any, active: Any, nac: Any, dt: float
+) -> Any:
     """Tully fewest-switches probabilities ``g[t, j]`` for every row.
 
     Rows whose active population has collapsed below ``1e-12`` get an
     all-zero probability vector, mirroring the single-carrier guard.
     """
-    ntraj = c.shape[0]
-    rows = np.arange(ntraj)
-    ca = c[rows, active]
-    pop_a = np.abs(ca) ** 2
-    # b_ja = 2 Re( c_a c_j^* d_ja );  g_j = dt * b_ja / |c_a|^2.
-    b = 2.0 * np.real(ca[:, None] * np.conj(c) * nac[:, active].T)
-    safe_pop = np.where(pop_a < 1e-12, 1.0, pop_a)
-    g = np.clip(dt * b / safe_pop[:, None], 0.0, 1.0)
-    g[pop_a < 1e-12, :] = 0.0
-    g[rows, active] = 0.0
-    return g
+    ntraj, nstates = c.shape
+    onehot = _one_hot_active(xp, active, nstates)
+    ca = c[onehot]
+    pop_a = xp.abs(ca) ** 2
+    # b_ja = 2 Re( c_a c_j^* d_ja );  g_j = dt * b_ja / |c_a|^2, with
+    # nac[:, active].T gathered as the active columns.
+    nac_a = xp.take(nac, active, axis=1).mT
+    b = 2.0 * xp.real(ca[:, None] * xp.conj(c) * nac_a)
+    collapsed = pop_a < 1e-12
+    safe_pop = xp.where(collapsed, xp.asarray(1.0), pop_a)
+    g = xp.clip(dt * b / safe_pop[:, None], 0.0, 1.0)
+    # Collapsed rows and each row's own state get no probability.
+    return xp.where(collapsed[:, None] | onehot, xp.asarray(0.0), g)
 
 
-def stay_probabilities(g: np.ndarray) -> np.ndarray:
+def stay_probabilities(xp: Any, g: Any) -> Any:
     """Per-row probability of *not* hopping this step.
 
     Clipped at zero: the per-channel probabilities are individually
@@ -210,10 +225,10 @@ def stay_probabilities(g: np.ndarray) -> np.ndarray:
     ``dt * NAC`` (the selection sweep then hops with certainty).
     """
     ntraj, nstates = g.shape
-    total = np.zeros(ntraj, dtype=np.float64)
+    total = xp.zeros(ntraj, dtype=xp.float64)
     for k in range(nstates):
         total = total + g[:, k]
-    return np.maximum(0.0, 1.0 - total)
+    return xp.maximum(xp.asarray(0.0), 1.0 - total)
 
 
 def select_hops(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -275,146 +290,6 @@ def resolve_hops(
 # energy-based decoherence correction (EDC)
 # --------------------------------------------------------------------- #
 def apply_edc_batch(
-    c: np.ndarray,
-    active: np.ndarray,
-    energies: np.ndarray,
-    dt: float,
-    kinetic: np.ndarray,
-    edc_parameter: float,
-) -> np.ndarray:
-    """Granucci-Persico EDC on stacked amplitudes; returns the new array.
-
-    Non-active amplitudes decay with lifetime
-    ``tau_j = hbar / |E_j - E_a| * (1 + C / E_kin)``; the active
-    amplitude is then rescaled to absorb the released population and the
-    row renormalized.  States degenerate with the active one
-    (``|gap| < 1e-12``) are untouched.
-    """
-    ntraj, nstates = c.shape
-    rows = np.arange(ntraj)
-    ekin = np.maximum(kinetic, 1e-12)
-    factor = 1.0 + edc_parameter / ekin
-    e_active = energies[active]
-    gap = np.abs(energies[None, :] - e_active[:, None])
-    decaying = gap >= 1e-12
-    decaying[rows, active] = False
-    safe_gap = np.where(decaying, gap, 1.0)
-    tau = HBAR / safe_gap * factor[:, None]
-    decay = np.where(decaying, np.exp(-dt / tau), 1.0)
-    c = c * decay
-    other_pop = np.zeros(ntraj, dtype=np.float64)
-    pop = np.abs(c) ** 2
-    for k in range(nstates):
-        # Adding an exact 0.0 for the active column keeps the ordered
-        # partial-sum sequence identical to a sum that skips it.
-        other_pop = other_pop + np.where(active == k, 0.0, pop[:, k])
-    pop_a = pop[rows, active]
-    boost = np.where(
-        pop_a > 0.0,
-        np.sqrt(np.maximum(0.0, 1.0 - other_pop) / np.where(pop_a > 0.0,
-                                                            pop_a, 1.0)),
-        1.0,
-    )
-    ca = c[rows, active] * boost
-    c[rows, active] = ca
-    return c / batched_norm(c)[:, None]
-
-
-# --------------------------------------------------------------------- #
-# portable (array-API) formulations
-# --------------------------------------------------------------------- #
-# The xp variants below reformulate the batched kernels on the array-API
-# surface (:mod:`repro.backend`): no integer-array fancy indexing (the
-# ``c[rows, active]`` gathers become ``take``/``take_along_axis``), no
-# boolean-mask setitem (``where`` with a one-hot active mask instead).
-# The ordered state-axis ``for k`` accumulations -- the batch-size
-# invariance contract -- survive unchanged.  Hop *selection* and
-# *pricing* (:func:`select_hops`, :func:`resolve_hops`) stay NumPy-only:
-# they are host-side control flow, the shape a device port keeps on the
-# CPU as well.
-
-
-def _one_hot_active(xp: Any, active: Any, nstates: int) -> Any:
-    """Boolean mask ``(ntraj, nstates)`` selecting each row's active state."""
-    states = xp.reshape(xp.arange(nstates), (1, -1))
-    return xp.reshape(active, (-1, 1)) == states
-
-
-def _gather_active(xp: Any, c: Any, active: Any) -> Any:
-    """Portable ``c[rows, active]``: one element per row, shape ``(ntraj,)``."""
-    picked = xp.take_along_axis(c, xp.reshape(active, (-1, 1)), axis=1)
-    return xp.reshape(picked, (-1,))
-
-
-def batched_norm_xp(xp: Any, c: Any) -> Any:
-    """Array-API :func:`batched_norm` (same ordered partial sums)."""
-    ntraj, nstates = c.shape
-    acc = xp.zeros(ntraj, dtype=xp.float64)
-    for k in range(nstates):
-        acc = acc + xp.abs(c[:, k]) ** 2
-    return xp.sqrt(acc)
-
-
-def _apply_nac_xp(xp: Any, c: Any, nac: Any) -> Any:
-    """Array-API :func:`_apply_nac` (ordered state-axis accumulation)."""
-    ntraj, nstates = c.shape
-    acc = xp.zeros((ntraj, nstates), dtype=xp.complex128)
-    for k in range(nstates):
-        acc = acc + c[:, k, None] * nac[None, :, k]
-    return acc
-
-
-def amplitude_derivative_xp(
-    xp: Any, c: Any, energies: Any, nac: Any
-) -> Any:
-    """Array-API :func:`amplitude_derivative`."""
-    return (-1j / HBAR) * energies[None, :] * c - _apply_nac_xp(xp, c, nac)
-
-
-def propagate_amplitudes_batch_xp(
-    xp: Any, c: Any, energies: Any, nac: Any, dt: float, substeps: int
-) -> Any:
-    """Array-API :func:`propagate_amplitudes_batch` (RK4 + renormalize)."""
-    if substeps < 1:
-        raise ValueError("substeps must be positive")
-    h = dt / substeps
-    for _ in range(substeps):
-        k1 = amplitude_derivative_xp(xp, c, energies, nac)
-        k2 = amplitude_derivative_xp(xp, c + 0.5 * h * k1, energies, nac)
-        k3 = amplitude_derivative_xp(xp, c + 0.5 * h * k2, energies, nac)
-        k4 = amplitude_derivative_xp(xp, c + h * k3, energies, nac)
-        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return c / batched_norm_xp(xp, c)[:, None]
-
-
-def hop_probabilities_batch_xp(
-    xp: Any, c: Any, active: Any, nac: Any, dt: float
-) -> Any:
-    """Array-API :func:`hop_probabilities_batch`."""
-    ntraj, nstates = c.shape
-    onehot = _one_hot_active(xp, active, nstates)
-    ca = _gather_active(xp, c, active)
-    pop_a = xp.abs(ca) ** 2
-    # nac[:, active].T without fancy indexing: gather the active columns.
-    nac_a = xp.matrix_transpose(xp.take(nac, active, axis=1))
-    b = 2.0 * xp.real(ca[:, None] * xp.conj(c) * nac_a)
-    collapsed = pop_a < 1e-12
-    safe_pop = xp.where(collapsed, xp.asarray(1.0), pop_a)
-    g = xp.clip(dt * b / safe_pop[:, None], 0.0, 1.0)
-    g = xp.where(collapsed[:, None], xp.asarray(0.0), g)
-    return xp.where(onehot, xp.asarray(0.0), g)
-
-
-def stay_probabilities_xp(xp: Any, g: Any) -> Any:
-    """Array-API :func:`stay_probabilities` (ordered channel sum)."""
-    ntraj, nstates = g.shape
-    total = xp.zeros(ntraj, dtype=xp.float64)
-    for k in range(nstates):
-        total = total + g[:, k]
-    return xp.maximum(xp.asarray(0.0), 1.0 - total)
-
-
-def apply_edc_batch_xp(
     xp: Any,
     c: Any,
     active: Any,
@@ -423,7 +298,14 @@ def apply_edc_batch_xp(
     kinetic: Any,
     edc_parameter: float,
 ) -> Any:
-    """Array-API :func:`apply_edc_batch`."""
+    """Granucci-Persico EDC on stacked amplitudes; returns the new array.
+
+    Non-active amplitudes decay with lifetime
+    ``tau_j = hbar / |E_j - E_a| * (1 + C / E_kin)``; the active
+    amplitude is then rescaled to absorb the released population and the
+    row renormalized.  States degenerate with the active one
+    (``|gap| < 1e-12``) are untouched.  The input array is not modified.
+    """
     ntraj, nstates = c.shape
     onehot = _one_hot_active(xp, active, nstates)
     ekin = xp.maximum(kinetic, xp.asarray(1e-12))
@@ -443,7 +325,7 @@ def apply_edc_batch_xp(
         other_pop = other_pop + xp.where(
             active == k, xp.asarray(0.0), pop[:, k]
         )
-    pop_a = _gather_active(xp, pop, active)
+    pop_a = pop[onehot]
     alive = pop_a > 0.0
     boost = xp.where(
         alive,
@@ -453,6 +335,6 @@ def apply_edc_batch_xp(
         ),
         xp.asarray(1.0),
     )
-    ca = _gather_active(xp, c, active) * boost
+    ca = c[onehot] * boost
     c = xp.where(onehot, ca[:, None], c)
-    return c / batched_norm_xp(xp, c)[:, None]
+    return c / batched_norm(xp, c)[:, None]

@@ -10,9 +10,10 @@ pay for them (velocity-rescaling criterion); the rescale factor is
 returned to the MD driver.
 
 All floating-point arithmetic lives in :mod:`repro.qxmd.sh_kernels` and
-runs here on single-row ``(1, nstates)`` views.  The ensemble engine
-calls the same kernels on ``(ntraj, nstates)`` stacks, which is what
-makes a batch-extracted trajectory bit-identical to this class.
+runs here, on the ``np`` namespace, on single-row ``(1, nstates)``
+views.  The ensemble engine calls the same kernels on ``(ntraj,
+nstates)`` stacks, which is what makes a batch-extracted trajectory
+bit-identical to this class.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SurfaceHoppingState:
         n = self.amplitudes.size
         if not (0 <= self.active < n):
             raise ValueError("active state out of range")
-        norm = float(batched_norm(self.amplitudes[None, :])[0])
+        norm = float(batched_norm(np, self.amplitudes[None, :])[0])
         if norm == 0:
             raise ValueError("zero amplitude vector")
         self.amplitudes = self.amplitudes / norm
@@ -150,7 +151,7 @@ class FSSH:
         if energies.shape != (n,) or nac.shape != (n, n):
             raise ValueError("energies/NAC dimensions do not match the state")
         state.amplitudes = propagate_amplitudes_batch(
-            state.amplitudes[None, :], energies, nac, dt, self.substeps
+            np, state.amplitudes[None, :], energies, nac, dt, self.substeps
         )[0]
 
     def hop_probabilities(
@@ -159,6 +160,7 @@ class FSSH:
         """Tully's fewest-switches probabilities g_{active -> j}."""
         nac = np.asarray(nac, dtype=np.complex128)
         return hop_probabilities_batch(
+            np,
             state.amplitudes[None, :],
             np.array([state.active]),
             nac,
@@ -218,7 +220,8 @@ class FSSH:
             return
         energies = np.asarray(energies, dtype=float)
         state.amplitudes = apply_edc_batch(
-            state.amplitudes[None, :].copy(),
+            np,
+            state.amplitudes[None, :],
             np.array([state.active]),
             energies,
             dt,

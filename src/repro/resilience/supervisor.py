@@ -37,7 +37,6 @@ from repro.core.timescale import TimescaleSplit
 from repro.device.allocator import DeviceMemoryError
 from repro.obs import trace_span
 from repro.perf.counters import CounterSet
-from repro.perf.timers import Timer
 from repro.resilience.checkpointing import (
     _CKPT_RE,
     CheckpointCorruptError,
@@ -283,7 +282,6 @@ class RunSupervisor:
         sim.health_guard = self.guard
         self.log = ResilienceLog(self.config.log_path)
         self.total_retries = 0
-        self.recovery_timer = Timer()
         #: Run-wide recovery budget (None budget = unbounded).
         self.retry_budget = RetryBudget(self.config.retry_budget)
         #: Consecutive-fault breaker (threshold 0 = disabled).
@@ -457,13 +455,14 @@ class RunSupervisor:
                         new_budget_s=relaxed,
                     )
                     self.deadline_s = relaxed
-                self.recovery_timer.start()
-                delay = self._backoff(retries)
-                self._maybe_degrade(retries, exc)
-                try:
-                    self._restore()
-                finally:
-                    recovery_s = self.recovery_timer.stop()
+                with trace_span("supervisor.recover", "md", retry=retries):
+                    t0 = time.perf_counter()
+                    delay = self._backoff(retries)
+                    self._maybe_degrade(retries, exc)
+                    try:
+                        self._restore()
+                    finally:
+                        recovery_s = time.perf_counter() - t0
                 self.log.record(
                     "recovered",
                     step=sim.step_count,

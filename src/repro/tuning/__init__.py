@@ -25,6 +25,7 @@ from repro.tuning.gate import GATE_TOL, GateVerdict, check, correctness_error
 from repro.tuning.measure import TrialMeasurement, aggregate, measure_callable
 from repro.tuning.profile import (
     TuningProfile,
+    TuningProfileError,
     active_profile,
     get_active_profile,
     resolve,
@@ -53,6 +54,7 @@ __all__ = [
     "TuningCache",
     "TuningOutcome",
     "TuningProfile",
+    "TuningProfileError",
     "TuningSession",
     "TUNABLE_IDS",
     "active_profile",

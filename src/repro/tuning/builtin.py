@@ -67,8 +67,8 @@ def _kin_prop_prefilter(params: Params) -> Optional[str]:
         params["variant"] != defaults["variant"]
         or params["block_size"] != defaults["block_size"]
     ):
-        return ("non-native substrates route every variant through the "
-                "portable kernel; variant/block only matter on numpy")
+        return ("other substrates run the collapsed kernel for every "
+                "variant; variant/block only matter on numpy")
     return None
 
 
@@ -112,7 +112,6 @@ def _nonlocal_trial(probe: dict, params: Params) -> np.ndarray:
     corr = NonlocalCorrector(
         ref_unocc=probe["ref"], scissor_shift=probe["scissor"],
         variant=str(params["variant"]), orb_block=int(params["orb_block"]),
-        backend=str(params.get("backend", "numpy")),
     )
     corr.apply(wf, probe["dt"])
     return wf.psi.copy()
@@ -122,12 +121,6 @@ def _nonlocal_prefilter(params: Params) -> Optional[str]:
     defaults = default_params("lfd.nonlocal")
     if params["variant"] != "blas_blocked" and params["orb_block"] != defaults["orb_block"]:
         return "orb_block only affects the blas_blocked variant"
-    if params.get("backend", "numpy") != "numpy" and (
-        params["variant"] != defaults["variant"]
-        or params["orb_block"] != defaults["orb_block"]
-    ):
-        return ("non-native substrates use the portable GEMM kernel; "
-                "variant/panel only matter on numpy")
     return None
 
 
@@ -137,7 +130,6 @@ def _nonlocal_tunable() -> Tunable:
         space=ParamSpace((
             Choice("variant", ("naive", "blas", "blas_blocked")),
             Choice("orb_block", (4, 8, 16, 32)),
-            Choice("backend", ("numpy", "array_api_strict")),
         )),
         defaults=default_params("lfd.nonlocal"),
         description="nonlocal correction BLAS-3 variant and panel width",
@@ -238,7 +230,6 @@ def _poisson_trial(probe: dict, params: Params) -> np.ndarray:
         pre_sweeps=int(params["pre_sweeps"]),
         post_sweeps=int(params["post_sweeps"]),
         smoother=str(params["smoother"]),
-        backend=str(params.get("backend", "numpy")),
     )
     # Converged far past the gate tolerance: every smoother config must
     # land on the same discrete solution, so only speed can differ.
@@ -248,17 +239,6 @@ def _poisson_trial(probe: dict, params: Params) -> np.ndarray:
     return u
 
 
-def _poisson_prefilter(params: Params) -> Optional[str]:
-    defaults = default_params("multigrid.poisson")
-    if params.get("backend", "numpy") != "numpy" and any(
-        params[k] != defaults[k]
-        for k in ("smoother", "pre_sweeps", "post_sweeps")
-    ):
-        return ("substrate choice is orthogonal to the cycle shape; "
-                "search smoother/sweeps on numpy only")
-    return None
-
-
 def _poisson_tunable() -> Tunable:
     return Tunable(
         tunable_id="multigrid.poisson",
@@ -266,7 +246,6 @@ def _poisson_tunable() -> Tunable:
             Choice("smoother", ("rbgs", "jacobi")),
             IntRange("pre_sweeps", 1, 3),
             IntRange("post_sweeps", 1, 3),
-            Choice("backend", ("numpy", "array_api_strict")),
         )),
         defaults=default_params("multigrid.poisson"),
         description="Hartree V-cycle smoother and sweep counts",
@@ -278,7 +257,6 @@ def _poisson_tunable() -> Tunable:
         ),
         make_probe=_poisson_probe,
         run_trial=_poisson_trial,
-        prefilter=_poisson_prefilter,
     )
 
 

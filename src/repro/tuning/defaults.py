@@ -26,17 +26,16 @@ TUNABLE_IDS: Tuple[str, ...] = (
 )
 
 #: The untuned (seed-state) parameter choice of every tunable.
-#: ``backend`` on the kernel tunables is the array-API substrate
-#: (:mod:`repro.backend`); ``"numpy"`` reproduces the pre-substrate
-#: native kernels bit for bit.  (The ``parallel.executor`` ``backend``
-#: is the unrelated executor kind -- serial/thread/process.)
+#: ``backend`` on ``lfd.kin_prop`` is the array-API substrate of the LFD
+#: kernels (:mod:`repro.backend`).  (The ``parallel.executor``
+#: ``backend`` is the unrelated executor kind -- serial/thread/process.)
 DEFAULT_PARAMS: Mapping[str, Params] = {
     "lfd.kin_prop": {"variant": "collapsed", "block_size": 32,
                      "backend": "numpy"},
-    "lfd.nonlocal": {"variant": "blas", "orb_block": 16, "backend": "numpy"},
+    "lfd.nonlocal": {"variant": "blas", "orb_block": 16},
     "parallel.executor": {"backend": "serial", "workers": 1, "chunk_size": 1},
     "multigrid.poisson": {"smoother": "rbgs", "pre_sweeps": 2,
-                          "post_sweeps": 2, "backend": "numpy"},
+                          "post_sweeps": 2},
     "ensemble.swarm": {"batch_size": 32},
 }
 

@@ -26,6 +26,15 @@ from repro.tuning.defaults import DEFAULT_PARAMS, default_params
 Params = Dict[str, object]
 
 
+class TuningProfileError(ValueError):
+    """A profile file that cannot be loaded.
+
+    Raised by :meth:`TuningProfile.load` for a missing or unreadable
+    file, a document that is not a JSON profile, and a profile naming a
+    tunable or parameter this code does not have.
+    """
+
+
 class TuningProfile:
     """Resolved parameters for every tunable, defaults-backed."""
 
@@ -125,10 +134,21 @@ class TuningProfile:
 
     @classmethod
     def load(cls, path: Path) -> "TuningProfile":
-        """Read a profile written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        profile = cls.from_dict(data)
+        """Read a profile written by :meth:`save`.
+
+        Every way the file can fail to be a usable profile raises
+        :class:`TuningProfileError`, with the cause chained.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            profile = cls.from_dict(data)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TuningProfileError(
+                f"tuning profile {path} is unusable: {exc}"
+            ) from exc
         if profile.source in ("defaults", "restored"):
             profile.source = f"file:{path}"
         return profile

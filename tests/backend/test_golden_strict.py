@@ -9,8 +9,9 @@ for "the substrate changes the execution path, never the physics".
 
 The strict substrate is selected the same way the CLI does it: the
 ``array_backend`` config field (which rides the executor task tuples)
-plus a tuning-profile override for the profile-resolved consumers
-(Poisson in SCF/forces).
+plus the ``lfd.kin_prop`` tuning-profile override.  The nonlocal
+correction and the Hartree solve are NumPy-only, so they run on NumPy
+here too.
 """
 
 import numpy as np
@@ -36,15 +37,10 @@ from tests.integration.test_golden_trajectory import (
 
 STRICT = "array_api_strict"
 
-#: Kernel tunables whose ``backend`` selects the array-API substrate.
-_KERNEL_TUNABLES = ("lfd.kin_prop", "lfd.nonlocal", "multigrid.poisson")
-
-
 def strict_profile() -> TuningProfile:
-    """A profile routing every profile-resolved kernel through strict."""
+    """A profile routing the LFD kernels through strict."""
     return TuningProfile(
-        {tid: {"backend": STRICT} for tid in _KERNEL_TUNABLES},
-        source="strict-golden-test",
+        {"lfd.kin_prop": {"backend": STRICT}}, source="strict-golden-test"
     )
 
 

@@ -11,10 +11,12 @@ Two gates, one per axis of the array-API refactor:
    namespace refactor is required to be a pure re-spelling of the same
    floating-point program.
 
-2. **Cross-namespace agreement**: the same kernel run under the
+2. **Cross-namespace agreement**: every kernel that dispatches on the
+   substrate (kinetic, potential phase, CAP), run under the
    ``array_api_strict`` namespace (the real package when installed, the
-   :mod:`repro.backend` strict shim otherwise) must agree with the NumPy
-   path to <= 1e-12 on every converted kernel.
+   :mod:`repro.backend` strict shim otherwise), must agree with the
+   NumPy path to <= 1e-12.  The nonlocal correction and the Hartree
+   solve are NumPy-only and sit in gate 1 alone.
 
 Regenerate the golden file (after a *deliberate* numerics change) with::
 
@@ -64,10 +66,13 @@ def _inputs():
     }
 
 
-def _kin(inp, variant, block_size=None, **kw):
+def _kin(inp, variant, block_size=None, dtype=None, **kw):
     from repro.lfd.kin_prop import kinetic_step
 
     wf = inp["wf"].copy()
+    if dtype is not None:
+        wf = WaveFunctionSet(wf.grid, wf.norb, dtype=dtype,
+                             data=wf.psi.astype(dtype))
     for _ in range(2):
         kinetic_step(wf, DT, theta=THETA, variant=variant,
                      block_size=block_size, **kw)
@@ -92,19 +97,19 @@ def _cap(inp, **kw):
     return np.asarray(w), wf.psi.copy()
 
 
-def _nonlocal(inp, variant, **kw):
+def _nonlocal(inp, variant):
     from repro.lfd.nonlocal_corr import NonlocalCorrector
 
     wf = inp["wf"].copy()
     corr = NonlocalCorrector(
         ref_unocc=inp["ref"], scissor_shift=0.037, variant=variant,
-        orb_block=3 if variant == "blas_blocked" else 16, **kw,
+        orb_block=3 if variant == "blas_blocked" else 16,
     )
     corr.apply(wf, DT)
     return wf.psi.copy()
 
 
-def _multigrid(inp, **kw):
+def _multigrid(inp):
     from repro.multigrid.poisson import PoissonMultigrid, solve_poisson_fft
     from repro.multigrid.smoothers import (red_black_gauss_seidel,
                                            weighted_jacobi)
@@ -114,30 +119,28 @@ def _multigrid(inp, **kw):
     grid = inp["grid"]
     spacing = grid.spacing
     out = {
-        "mg_jacobi": weighted_jacobi(inp["u"], inp["f"], spacing, sweeps=3,
-                                     **kw),
+        "mg_jacobi": weighted_jacobi(inp["u"], inp["f"], spacing, sweeps=3),
         "mg_rbgs": red_black_gauss_seidel(inp["u"], inp["f"], spacing,
-                                          sweeps=2, **kw),
-        "mg_restrict": restrict_full_weighting(inp["f"], **kw),
-        "mg_prolong": prolong_trilinear(inp["coarse"], grid.shape, **kw),
-        "mg_fft": solve_poisson_fft(inp["rho"], grid, **kw),
+                                          sweeps=2),
+        "mg_restrict": restrict_full_weighting(inp["f"]),
+        "mg_prolong": prolong_trilinear(inp["coarse"], grid.shape),
+        "mg_fft": solve_poisson_fft(inp["rho"], grid),
     }
     solver = PoissonMultigrid(grid, pre_sweeps=2, post_sweeps=2,
-                              smoother="rbgs", **kw)
+                              smoother="rbgs")
     v, stats = solver.solve(inp["rho"], tol=1e-10)
     out["mg_solve"] = v
     out["mg_residuals"] = np.asarray(stats.residual_norms)
     return {k: np.asarray(v) for k, v in out.items()}
 
 
-def _hartree(inp, **kw):
+def _hartree(inp):
     from repro.qxmd.hartree import hartree_potential
 
     return (
         np.asarray(hartree_potential(inp["rho"], inp["grid"],
-                                     method="multigrid", **kw)),
-        np.asarray(hartree_potential(inp["rho"], inp["grid"], method="fft",
-                                     **kw)),
+                                     method="multigrid")),
+        np.asarray(hartree_potential(inp["rho"], inp["grid"], method="fft")),
     )
 
 
@@ -234,7 +237,7 @@ class TestNumpyPathMatchesPreRefactorGolden:
 # gate 2: strict namespace agrees with the NumPy path on every kernel
 # --------------------------------------------------------------------- #
 class TestCrossNamespaceAgreement:
-    """Same kernel, numpy vs array_api_strict namespace, <= 1e-12."""
+    """Same dispatching kernel, numpy vs array_api_strict, <= 1e-12."""
 
     @pytest.fixture(scope="class")
     def inp(self):
@@ -258,6 +261,18 @@ class TestCrossNamespaceAgreement:
         self._check(_kin(inp, variant),
                     _kin(inp, variant, backend=strict), f"kin_{variant}")
 
+    def test_kin_complex64(self, inp, strict):
+        """Single precision rounds identically on both substrates.
+
+        Each pass computes in complex128 (the coefficients are double)
+        and the slice assignment into the complex64 array rounds; the
+        strict run must store exactly the values NumPy stores.
+        """
+        a = _kin(inp, "collapsed", dtype=np.complex64)
+        b = _kin(inp, "collapsed", dtype=np.complex64, backend=strict)
+        assert a.dtype == b.dtype == np.complex64
+        assert np.array_equal(a, b)
+
     def test_pot(self, inp, strict):
         phase_np, psi_np = _pot(inp)
         phase_xp, psi_xp = _pot(inp, backend=strict)
@@ -269,23 +284,6 @@ class TestCrossNamespaceAgreement:
         w_xp, psi_xp = _cap(inp, backend=strict)
         self._check(w_np, w_xp, "cap_w")
         self._check(psi_np, psi_xp, "cap_applied")
-
-    @pytest.mark.parametrize("variant", ["naive", "blas", "blas_blocked"])
-    def test_nonlocal(self, inp, strict, variant):
-        self._check(_nonlocal(inp, variant),
-                    _nonlocal(inp, variant, backend=strict), f"nl_{variant}")
-
-    def test_multigrid(self, inp, strict):
-        a = _multigrid(inp)
-        b = _multigrid(inp, backend=strict)
-        for key in a:
-            self._check(a[key], b[key], key)
-
-    def test_hartree(self, inp, strict):
-        mg_np, fft_np = _hartree(inp)
-        mg_xp, fft_xp = _hartree(inp, backend=strict)
-        self._check(mg_np, mg_xp, "hartree_mg")
-        self._check(fft_np, fft_xp, "hartree_fft")
 
 
 if __name__ == "__main__":

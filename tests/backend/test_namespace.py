@@ -30,15 +30,13 @@ from repro.backend import (
 
 class TestRegistry:
     def test_numpy_backend_is_numpy_itself(self):
-        """The native handle's namespace IS the numpy module: kernels
-        routed through it run the exact same ufuncs as before."""
+        """The numpy handle's namespace IS the numpy module: a kernel
+        written against ``xp`` runs the plain NumPy program on it."""
         b = get_backend("numpy")
-        assert b.native
         assert b.xp is np
 
     def test_strict_backend_is_not_native(self):
         b = get_backend("array_api_strict")
-        assert not b.native
         assert b.xp is not np
 
     def test_auto_resolves_to_numpy(self):
@@ -94,6 +92,12 @@ class TestPickling:
 
 
 class TestBoundary:
+    def test_numpy_asarray_is_identity(self):
+        """On NumPy the boundary is free: in-place kernels update the
+        caller's array, so nothing is copied back."""
+        host = np.zeros((2, 3), dtype=np.complex128)
+        assert get_backend("numpy").asarray(host) is host
+
     def test_asarray_to_numpy_round_trip(self, xp_backend):
         host = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         arr = xp_backend.asarray(host)
@@ -163,13 +167,6 @@ class TestConfigThreading:
         with active_profile(TuningProfile(override, source="test")):
             cfg = PropagatorConfig(dt=0.05)
         assert cfg.backend.name == "array_api_strict"
-
-    def test_multigrid_accepts_handle(self, xp_backend):
-        from repro.grids import Grid3D
-        from repro.multigrid import PoissonMultigrid
-
-        solver = PoissonMultigrid(Grid3D.cubic(8, 0.5), backend=xp_backend)
-        assert solver.backend is xp_backend
 
     def test_mesh_config_normalizes_name(self):
         from repro.core import DCMESHConfig

@@ -1,5 +1,6 @@
 """CLI subcommand tests (invoked in-process)."""
 
+import json
 import shutil
 
 import pytest
@@ -110,3 +111,60 @@ class TestSpectrum:
         out = capsys.readouterr().out
         assert "KS levels" in out
         assert "absorption peaks" in out
+
+
+class TestBadTuningProfile:
+    """An unusable ``--tuning-profile`` is bad input: exit 1, an
+    ``error:`` line naming the file, and no traceback, on every
+    subcommand that takes the flag."""
+
+    COMMANDS = {
+        "run": TINY_RUN,
+        "spectrum": ["spectrum", "--grid", "8", "--steps", "5",
+                     "--norb", "2"],
+        "ensemble": ["ensemble", "--ntraj", "4", "--nsteps", "3"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def _restore_profile(self):
+        from repro.tuning import set_active_profile
+        from repro.tuning.profile import get_active_profile
+
+        before = get_active_profile()
+        yield
+        set_active_profile(before)
+
+    def _run(self, capsys, cmd, profile):
+        code = main(self.COMMANDS[cmd] + ["--tuning-profile", str(profile)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and profile.name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_truncated_profile(self, cmd, tmp_path, capsys):
+        from repro.tuning import TuningProfile
+
+        good = tmp_path / "good.json"
+        TuningProfile({"lfd.kin_prop": {"variant": "blocked"}}).save(good)
+        torn = tmp_path / "torn.json"
+        torn.write_bytes(good.read_bytes()[:20])
+        self._run(capsys, cmd, torn)
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_missing_profile(self, cmd, tmp_path, capsys):
+        self._run(capsys, cmd, tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_unknown_parameter(self, cmd, tmp_path, capsys):
+        """A profile naming a parameter this code lacks, such as the
+        ``backend`` of ``lfd.nonlocal`` (the nonlocal correction runs
+        on NumPy only), is refused, not silently ignored."""
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({
+            "source": "stale",
+            "overrides": {"lfd.nonlocal": {"variant": "blas",
+                                           "orb_block": 16,
+                                           "backend": "numpy"}},
+        }))
+        self._run(capsys, cmd, stale)

@@ -177,13 +177,13 @@ class TestKernelContracts:
         wf = WaveFunctionSet.random(grid8, 2, rng)
         coeff = pair_split_coefficients(8, 0.5, 0.02, 0)
         with pytest.raises(ValueError):
-            kin_prop_collapsed(wf.psi[..., 0], coeff, 0)
+            kin_prop_collapsed(np, wf.psi[..., 0], coeff, 0)
 
     def test_coefficient_length_mismatch(self, grid8, rng):
         wf = WaveFunctionSet.random(grid8, 2, rng)
         coeff = pair_split_coefficients(10, 0.5, 0.02, 0)
         with pytest.raises(ValueError):
-            kin_prop_collapsed(wf.psi, coeff, 0)
+            kin_prop_collapsed(np, wf.psi, coeff, 0)
 
     def test_unknown_variant(self, wf_small):
         with pytest.raises(ValueError):
@@ -209,5 +209,5 @@ class TestKernelContracts:
         h = aniso_grid.spacing[axis]
         coeff = pair_split_coefficients(n, h, 0.04, parity=1, theta=0.2)
         kin_prop_interchange(wf_a.psi, coeff, axis)
-        kin_prop_collapsed(wf_b.psi, coeff, axis)
+        kin_prop_collapsed(np, wf_b.psi, coeff, axis)
         assert wf_a.max_abs_diff(wf_b) < 1e-14

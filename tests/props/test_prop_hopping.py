@@ -10,28 +10,24 @@ Three invariant families from the issue spec:
 
 Plus the load-bearing contract of the whole ensemble engine: every
 kernel's row ``t`` is bit-identical between a batched call and the
-single-row call.
+single-row call; and the one source of each amplitude kernel gives the
+same bits on the strict substrate as on NumPy.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import to_numpy
+from repro.backend import get_backend, to_numpy
 from repro.qxmd.sh_kernels import (
     HopPolicy,
     apply_edc_batch,
-    apply_edc_batch_xp,
     batched_norm,
-    batched_norm_xp,
     hop_probabilities_batch,
-    hop_probabilities_batch_xp,
     propagate_amplitudes_batch,
-    propagate_amplitudes_batch_xp,
     resolve_hops,
     select_hops,
     stay_probabilities,
-    stay_probabilities_xp,
 )
 
 
@@ -40,7 +36,7 @@ def random_swarm(seed, ntraj, nstates):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((ntraj, nstates)) \
         + 1j * rng.standard_normal((ntraj, nstates))
-    c = c / batched_norm(c)[:, None]
+    c = c / batched_norm(np, c)[:, None]
     active = rng.integers(0, nstates, size=ntraj)
     return c, active, rng
 
@@ -59,9 +55,9 @@ def test_edc_norm_and_monotone_decay(seed, ntraj, nstates, ekin, cparam, dt):
     energies = np.sort(rng.standard_normal(nstates))
     kinetic = np.full(ntraj, ekin)
     before = np.abs(c) ** 2
-    out = apply_edc_batch(c.copy(), active, energies, dt, kinetic, cparam)
+    out = apply_edc_batch(np, c, active, energies, dt, kinetic, cparam)
     # Norm restored to unity within 1e-12 on every row.
-    assert np.all(np.abs(batched_norm(out) - 1.0) <= 1e-12)
+    assert np.all(np.abs(batched_norm(np, out) - 1.0) <= 1e-12)
     after = np.abs(out) ** 2
     rows = np.arange(ntraj)
     gap = np.abs(energies[None, :] - energies[active][:, None])
@@ -121,11 +117,11 @@ def test_hop_probabilities_partition_unity(seed, ntraj, nstates, dt,
     m = nac_scale * (rng.standard_normal((nstates, nstates))
                      + 1j * rng.standard_normal((nstates, nstates)))
     nac = 0.5 * (m - m.conj().T)
-    g = hop_probabilities_batch(c, active, nac, dt)
+    g = hop_probabilities_batch(np, c, active, nac, dt)
     rows = np.arange(ntraj)
     assert np.all(g >= 0.0) and np.all(g <= 1.0)
     assert np.all(g[rows, active] == 0.0)
-    stay = stay_probabilities(g)
+    stay = stay_probabilities(np, g)
     total = g.sum(axis=1)
     assert np.all(stay >= 0.0) and np.all(stay <= 1.0)
     # Partition of unity until the per-channel clip saturates the sum.
@@ -144,7 +140,7 @@ def test_select_hops_targets_valid(seed, ntraj, nstates):
     c, active, rng = random_swarm(seed, ntraj, nstates)
     m = rng.standard_normal((nstates, nstates))
     nac = 0.5 * (m - m.T).astype(complex)
-    g = hop_probabilities_batch(c, active, nac, dt=0.5)
+    g = hop_probabilities_batch(np, c, active, nac, dt=0.5)
     xi = rng.random(ntraj)
     target = select_hops(g, xi)
     rows = np.arange(ntraj)
@@ -167,16 +163,13 @@ def test_select_hops_targets_valid(seed, ntraj, nstates):
     dt=st.floats(0.05, 1.0),
     cparam=st.floats(0.0, 0.5),
 )
-def test_xp_kernels_match_native_bitwise(xp_backend, seed, ntraj, nstates,
-                                         dt, cparam):
-    """Every portable FSSH kernel reproduces its native twin bit for bit.
+def test_strict_kernels_match_numpy_bitwise(seed, ntraj, nstates, dt,
+                                            cparam):
+    """The strict run of every amplitude kernel equals the NumPy run.
 
-    The xp formulations replace fancy-indexing gathers with ``take``/
-    one-hot ``where`` -- pure re-spellings that pick or mask the same
-    values, so the per-row floating-point operation sequences (the
-    batch-size-invariance contract) are preserved exactly, on *both*
-    namespaces.  Under the strict member this also proves the kernels
-    never silently round-trip through NumPy.
+    Each kernel has one body; run on the strict namespace it must give
+    the NumPy run's bits exactly, not just to a tolerance.  The strict
+    namespace also proves the bodies never round-trip through NumPy.
     """
     c, active, rng = random_swarm(seed, ntraj, nstates)
     energies = np.sort(rng.standard_normal(nstates))
@@ -184,23 +177,24 @@ def test_xp_kernels_match_native_bitwise(xp_backend, seed, ntraj, nstates,
     nac = 0.5 * (m - m.T).astype(complex)
     kinetic = rng.uniform(1e-3, 1.0, size=ntraj)
 
-    b = xp_backend
+    b = get_backend("array_api_strict")
     xp = b.xp
     cx, ex = b.asarray(c), b.asarray(energies)
     nacx, actx, kinx = b.asarray(nac), b.asarray(active), b.asarray(kinetic)
 
-    assert np.array_equal(batched_norm(c), to_numpy(batched_norm_xp(xp, cx)))
-    prop = propagate_amplitudes_batch(c, energies, nac, dt, substeps=4)
-    prop_x = propagate_amplitudes_batch_xp(xp, cx, ex, nacx, dt, 4)
+    assert np.array_equal(batched_norm(np, c),
+                          to_numpy(batched_norm(xp, cx)))
+    prop = propagate_amplitudes_batch(np, c, energies, nac, dt, 4)
+    prop_x = propagate_amplitudes_batch(xp, cx, ex, nacx, dt, 4)
     assert np.array_equal(prop, to_numpy(prop_x))
-    g = hop_probabilities_batch(prop, active, nac, dt)
-    g_x = hop_probabilities_batch_xp(xp, prop_x, actx, nacx, dt)
+    g = hop_probabilities_batch(np, prop, active, nac, dt)
+    g_x = hop_probabilities_batch(xp, prop_x, actx, nacx, dt)
     assert np.array_equal(g, to_numpy(g_x))
     assert np.array_equal(
-        stay_probabilities(g), to_numpy(stay_probabilities_xp(xp, g_x))
+        stay_probabilities(np, g), to_numpy(stay_probabilities(xp, g_x))
     )
-    edc = apply_edc_batch(prop.copy(), active, energies, dt, kinetic, cparam)
-    edc_x = apply_edc_batch_xp(xp, prop_x, actx, ex, dt, kinx, cparam)
+    edc = apply_edc_batch(np, prop, active, energies, dt, kinetic, cparam)
+    edc_x = apply_edc_batch(xp, prop_x, actx, ex, dt, kinx, cparam)
     assert np.array_equal(edc, to_numpy(edc_x))
 
 
@@ -219,10 +213,10 @@ def test_partition_of_unity_on_every_backend(xp_backend, seed, ntraj,
         + 1j * rng.standard_normal((nstates, nstates))
     nac = 0.5 * (m - m.conj().T)
     b = xp_backend
-    g = to_numpy(hop_probabilities_batch_xp(
+    g = to_numpy(hop_probabilities_batch(
         b.xp, b.asarray(c), b.asarray(active), b.asarray(nac), dt
     ))
-    stay = to_numpy(stay_probabilities_xp(b.xp, b.asarray(g)))
+    stay = to_numpy(stay_probabilities(b.xp, b.asarray(g)))
     rows = np.arange(ntraj)
     assert np.all(g >= 0.0) and np.all(g <= 1.0)
     assert np.all(g[rows, active] == 0.0)
@@ -248,24 +242,24 @@ def test_batched_rows_bit_identical_to_single(seed, ntraj, nstates, dt):
     kinetic = rng.uniform(1e-3, 1.0, size=ntraj)
     xi = rng.random(ntraj)
 
-    prop = propagate_amplitudes_batch(c, energies, nac, dt, substeps=5)
-    g = hop_probabilities_batch(prop, active, nac, dt)
+    prop = propagate_amplitudes_batch(np, c, energies, nac, dt, substeps=5)
+    g = hop_probabilities_batch(np, prop, active, nac, dt)
     tgt = select_hops(g, xi)
-    edc = apply_edc_batch(prop.copy(), active, energies, dt, kinetic, 0.1)
+    edc = apply_edc_batch(np, prop, active, energies, dt, kinetic, 0.1)
     for t in range(ntraj):
         row = slice(t, t + 1)
         assert np.array_equal(
             prop[t],
-            propagate_amplitudes_batch(c[row], energies, nac, dt,
+            propagate_amplitudes_batch(np, c[row], energies, nac, dt,
                                        substeps=5)[0],
         )
         assert np.array_equal(
             g[t],
-            hop_probabilities_batch(prop[row], active[row], nac, dt)[0],
+            hop_probabilities_batch(np, prop[row], active[row], nac, dt)[0],
         )
         assert tgt[t] == select_hops(g[row], xi[row])[0]
         assert np.array_equal(
             edc[t],
-            apply_edc_batch(prop[row].copy(), active[row], energies, dt,
+            apply_edc_batch(np, prop[row], active[row], energies, dt,
                             kinetic[row], 0.1)[0],
         )
