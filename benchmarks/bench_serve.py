@@ -60,7 +60,7 @@ def _daemon(root: pathlib.Path, name: str, max_batch: int):
         socket_path=root / f"{name}.sock",
         artifact_root=None,  # measure serving mechanics, not memo hits
         scratch_root=root / f"{name}-scratch",
-        policy=BatchPolicy(max_batch=max_batch, max_wait_s=0.05),
+        policy=BatchPolicy(max_batch=max_batch),
         max_queue=256,
     )
     with DaemonHandle(config):

@@ -450,6 +450,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import BatchPolicy, ServeConfig, ServeDaemon
+    from repro.serve.scheduler import ARRIVAL_GAP_S
 
     config = ServeConfig(
         socket_path=pathlib.Path(args.socket),
@@ -458,8 +459,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         artifact_max_bytes=args.artifact_max_bytes,
         scratch_root=(pathlib.Path(args.scratch_dir)
                       if args.scratch_dir else None),
-        policy=BatchPolicy(max_batch=args.max_batch,
-                           max_wait_s=args.max_wait),
+        policy=BatchPolicy(max_batch=args.max_batch),
         max_queue=args.max_queue,
         pool_entries=args.pool_entries,
         pool_max_bytes=args.pool_max_bytes,
@@ -468,8 +468,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     daemon = ServeDaemon(config)
     print(f"serving on {config.socket_path} "
-          f"(batch <= {config.policy.max_batch} jobs / "
-          f"{config.policy.max_wait_s:g}s linger, "
+          f"(batch <= {config.policy.max_batch} jobs, dispatched when "
+          f"arrivals pause for {ARRIVAL_GAP_S * 1e3:g} ms, "
           f"queue <= {config.max_queue}, "
           f"artifacts: {config.artifact_root or 'off'})")
     asyncio.run(daemon.run())
@@ -774,10 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="supervisor checkpoint scratch directory "
                             "(default: a private temp dir)")
     serve.add_argument("--max-batch", type=int, default=16,
-                       help="max jobs coalesced into one batch")
-    serve.add_argument("--max-wait", type=float, default=0.05,
-                       help="seconds the scheduler lingers for "
-                            "coalescible company")
+                       help="max jobs coalesced into one batch (a batch "
+                            "is dispatched as soon as arrivals pause)")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="bounded admission queue depth (beyond it, "
                             "jobs are shed with a typed ServerBusy)")

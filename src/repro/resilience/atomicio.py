@@ -190,8 +190,10 @@ def write_archive(
         with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
             # The record goes first: the head of the file is then
             # CRC-checked JSON, not the zip64 extra field of an array
-            # member's local header, which readers skip unchecked.
-            zf.writestr(f"{META}.json", record)
+            # member's local header, which readers skip unchecked.  Its
+            # ZipInfo carries the array members' fixed 1980 date, so the
+            # bytes do not depend on the wall clock.
+            zf.writestr(zipfile.ZipInfo(f"{META}.json"), record)
             for name in sorted(arrays):
                 with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
                     np.lib.format.write_array(member, arrays[name],

@@ -11,11 +11,16 @@ scratch) happens on that thread too.
 Job lifecycle::
 
     client line -> validate -> admission (bounded queue, typed
-    ServerBusy shed) -> scheduler assembles a batch (max_wait/max_batch)
-    -> compatibility groups -> one coalesced execution per group on the
-    worker thread (artifact-store memo hits answered first, warm-state
-    pool reuse, RunSupervisor + deadline budgets) -> per-job futures
-    resolve -> NDJSON responses.
+    ServerBusy shed) -> scheduler assembles a batch (until arrivals
+    pause for ARRIVAL_GAP_S, or max_batch jobs) -> compatibility groups
+    -> one coalesced execution per group on the worker thread
+    (artifact-store memo hits answered first, warm-state pool reuse,
+    RunSupervisor + deadline budgets) -> per-job futures resolve ->
+    NDJSON responses.
+
+A request line longer than the stream limit (asyncio's 64 KiB) cannot
+be framed: it gets a typed ``ProtocolError`` response and the
+connection closes.
 
 Drain: SIGTERM (or the ``shutdown`` op) stops admission, lets the
 in-flight group finish, resolves still-queued jobs with typed
@@ -63,9 +68,10 @@ from repro.serve.protocol import (
     error_response,
     loads_line,
     ok_response,
+    protocol_error_response,
     shutdown_response,
 )
-from repro.serve.scheduler import BatchPolicy, group_jobs
+from repro.serve.scheduler import ARRIVAL_GAP_S, BatchPolicy, group_jobs
 
 _SENTINEL: Any = object()
 
@@ -254,16 +260,20 @@ class ServeDaemon:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:  # the line overran the limit
+                    writer.write(dumps_line(protocol_error_response(
+                        ProtocolError(f"request line too long: {exc}"))))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:
                     request = loads_line(line)
                     response = await self._dispatch(request)
                 except ProtocolError as exc:
-                    response = {"protocol": PROTOCOL, "status": "error",
-                                "error": {"type": "ProtocolError",
-                                          "message": str(exc)}}
+                    response = protocol_error_response(exc)
                 writer.write(dumps_line(response))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -369,19 +379,15 @@ class ServeDaemon:
         self._drained.set()
 
     async def _assemble_batch(self, first: _QueuedJob) -> List[_QueuedJob]:
-        """Linger up to ``max_wait_s`` for coalescible company."""
-        policy = self.config.policy
+        """Take jobs while each arrives within ``ARRIVAL_GAP_S`` of the last.
+
+        The batch also ends at ``max_batch`` jobs or when a drain begins.
+        """
         batch = [first]
-        if policy.max_batch == 1 or policy.max_wait_s == 0.0:
-            return batch
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + policy.max_wait_s
-        while len(batch) < policy.max_batch:
-            timeout = deadline - loop.time()
-            if timeout <= 0:
-                break
+        while len(batch) < self.config.policy.max_batch:
             try:
-                item = await asyncio.wait_for(self._queue.get(), timeout)
+                item = await asyncio.wait_for(self._queue.get(),
+                                              ARRIVAL_GAP_S)
             except asyncio.TimeoutError:
                 break
             if item is _SENTINEL:

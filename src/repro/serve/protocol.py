@@ -126,6 +126,15 @@ def ok_response(job_id: str, result: Dict[str, Any],
     }
 
 
+def protocol_error_response(exc: ProtocolError) -> Dict[str, Any]:
+    """A request the daemon could not parse or route, typed."""
+    return {
+        "protocol": PROTOCOL,
+        "status": "error",
+        "error": {"type": "ProtocolError", "message": str(exc)},
+    }
+
+
 def error_response(job_id: str, exc: BaseException) -> Dict[str, Any]:
     """A failed job, typed by exception class."""
     return {

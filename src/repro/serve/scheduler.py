@@ -1,11 +1,14 @@
 """Batch assembly policy and compatibility grouping.
 
-The daemon's scheduler pulls one queued job, then lingers up to
-``max_wait_s`` hoping compatible requests arrive, capping the batch at
-``max_batch`` jobs.  The assembled batch is partitioned into
-*compatibility groups* by :func:`repro.serve.jobs.batch_key` -- each
-group becomes one coalesced execution, and jobs with no batch key fall
-out as singletons.  The policy is a pure latency/throughput dial: it
+The daemon's scheduler pulls one queued job, then keeps taking jobs
+while each next one arrives within :data:`ARRIVAL_GAP_S` of the one
+before, up to ``max_batch`` jobs; the first quiet gap dispatches the
+batch.  A burst of requests therefore lands in one batch, while a lone
+request waits for one gap only, and no batch waits longer than
+``(max_batch - 1) * ARRIVAL_GAP_S``.  The assembled batch is
+partitioned into *compatibility groups* by
+:func:`repro.serve.jobs.batch_key` -- each group becomes one coalesced
+execution, and jobs with no batch key fall out as singletons.  Batching
 never changes results, only how many requests share one execution.
 """
 
@@ -19,22 +22,21 @@ from repro.serve.jobs import JobSpec, batch_key
 T = TypeVar("T")
 
 
+#: Seconds of quiet that end a batch.  Most requests of a synchronized
+#: burst of clients arrive well under a millisecond apart, so the burst
+#: lands in one or two batches, while a lone request waits one gap.
+ARRIVAL_GAP_S = 0.002
+
+
 @dataclass(frozen=True)
 class BatchPolicy:
-    """How long to wait, and how wide to batch.
-
-    ``max_wait_s=0`` degenerates to singleton dispatch (every job runs
-    the moment the scheduler sees it); ``max_batch=1`` does the same.
-    """
+    """How wide to batch; ``max_batch=1`` dispatches every job alone."""
 
     max_batch: int = 16
-    max_wait_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
 
 
 def group_jobs(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import hashlib
 import json
 import pathlib
 import zipfile
@@ -62,6 +63,15 @@ class TestRoundTrip:
         assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
         with np.load(path) as data:
             assert np.array_equal(data["psi"], ARRAYS["psi"])
+
+    def test_bytes_do_not_depend_on_the_wall_clock(self, tmp_path,
+                                                   monkeypatch):
+        first = _write(tmp_path / "a.npz").read_bytes()
+        later = zipfile.time.time() + 3600.0
+        monkeypatch.setattr(zipfile.time, "time", lambda: later)
+        second = _write(tmp_path / "b.npz").read_bytes()
+        assert hashlib.sha256(first).hexdigest() == \
+            hashlib.sha256(second).hexdigest()
 
     def test_reserved_name_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):

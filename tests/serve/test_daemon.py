@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import socket
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.serve import (
     ServeError,
 )
 from repro.serve import workloads
+from repro.serve.protocol import dumps_line, loads_line
 
 #: A small-but-real ensemble job (tens of milliseconds); the coupling is
 #: strong enough that trajectories hop, so results depend on the seed.
@@ -32,7 +34,7 @@ def serving(tmp_path, **overrides):
         "socket_path": tmp_path / "serve.sock",
         "artifact_root": tmp_path / "artifacts",
         "scratch_root": tmp_path / "scratch",
-        "policy": BatchPolicy(max_batch=8, max_wait_s=0.05),
+        "policy": BatchPolicy(max_batch=8),
     }
     cfg.update(overrides)
     with DaemonHandle(ServeConfig(**cfg)) as handle:
@@ -77,6 +79,21 @@ class TestOps:
             response = client.request({"op": "levitate"})
             assert response["status"] == "error"
             assert response["error"]["type"] == "ProtocolError"
+
+    def test_oversize_line_is_typed_protocol_error(self, tmp_path, caplog):
+        """A line over the stream limit is answered, not dropped."""
+        with serving(tmp_path) as (_, client):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(60)
+                sock.connect(str(tmp_path / "serve.sock"))
+                sock.sendall(dumps_line({"op": "ping", "pad": "x" * 70_000}))
+                with sock.makefile("rb") as reply:
+                    response = loads_line(reply.readline())
+            assert response["status"] == "error"
+            assert response["error"]["type"] == "ProtocolError"
+            assert "too long" in response["error"]["message"]
+            assert client.ping()  # the daemon serves the next connection
+        assert "Unhandled exception" not in caplog.text
 
     def test_empty_submit_rejected(self, tmp_path):
         with serving(tmp_path) as (_, client):
@@ -269,28 +286,79 @@ class TestBackpressure:
 
 
 class TestCrossRequestCoalescing:
-    def test_concurrent_submits_share_one_group(self, tmp_path):
-        """Two clients racing compatible jobs land in one execution."""
-        with serving(tmp_path,
-                     policy=BatchPolicy(max_batch=8,
-                                        max_wait_s=0.5)) as (handle, client):
-            barrier = threading.Barrier(2)
+    def test_concurrent_submits_share_one_group(self, tmp_path, gate):
+        """Compatible jobs queued behind a busy worker run as one group."""
+        with serving(tmp_path) as (handle, client):
             results = {}
 
             def submit(seed):
-                barrier.wait()
                 results[seed] = client.submit(
                     [{"kind": "ensemble", "params": {**ENS, "seed": seed}}])
 
-            threads = [threading.Thread(target=submit, args=(s,))
-                       for s in (31, 32)]
-            for t in threads:
+            threads = [threading.Thread(target=submit, args=(30,))]
+            threads[0].start()
+            wait_until(lambda: handle.daemon.metrics.snapshot()["groups"] == 1,
+                       what="first job on the worker")
+            threads += [threading.Thread(target=submit, args=(s,))
+                        for s in (31, 32)]
+            for t in threads[1:]:
                 t.start()
+            wait_until(lambda: client.stats()["queue_depth"] == 3,
+                       what="two queued jobs")
+            gate.set()
             for t in threads:
                 t.join(120)
-            assert results[31][0]["status"] == "ok"
-            assert results[32][0]["status"] == "ok"
-            metrics = handle.daemon.metrics.snapshot()
-            assert metrics["groups"] == 1
-            assert metrics["coalesced_jobs"] == 2
+            assert [results[s][0]["status"] for s in (30, 31, 32)] == \
+                ["ok"] * 3
             assert results[31][0]["meta"]["coalesced"] == 2
+            assert results[32][0]["meta"]["coalesced"] == 2
+            metrics = handle.daemon.metrics.snapshot()
+            assert metrics["groups"] == 2  # the first job, then the pair
+            assert metrics["coalesced_jobs"] == 2
+
+    def test_back_to_back_requests_share_one_group(self, tmp_path):
+        """Two requests sent one after the other form one batch."""
+        with serving(tmp_path) as (handle, _):
+            with contextlib.ExitStack() as stack:
+                socks = [stack.enter_context(socket.socket(socket.AF_UNIX,
+                                                           socket.SOCK_STREAM))
+                         for _ in range(2)]
+                for sock in socks:
+                    sock.settimeout(120)
+                    sock.connect(str(tmp_path / "serve.sock"))
+                for sock, seed in zip(socks, (41, 42)):
+                    sock.sendall(dumps_line({"op": "submit", "jobs": [
+                        {"kind": "ensemble", "params": {**ENS, "seed": seed}}
+                    ]}))
+                replies = []
+                for sock in socks:
+                    with sock.makefile("rb") as reply:
+                        replies.append(loads_line(reply.readline()))
+            jobs = [r["jobs"][0] for r in replies]
+            assert [j["status"] for j in jobs] == ["ok", "ok"]
+            assert [j["meta"]["coalesced"] for j in jobs] == [2, 2]
+            metrics = handle.daemon.metrics.snapshot()
+            assert metrics["batches"] == 1
+            assert metrics["groups"] == 1
+
+
+class TestBatchAssembly:
+    def test_lone_job_does_not_linger(self, tmp_path):
+        """An idle daemon dispatches a lone job after one arrival gap."""
+        with serving(tmp_path) as (handle, client):
+            client.run_job("scf", dict(SCF))
+            metrics = handle.daemon.metrics.snapshot()
+            assert metrics["batches"] == 1
+            assert metrics["queue_wait_s"] < 0.02
+
+    def test_batch_stops_growing_at_max_batch(self, tmp_path):
+        with serving(tmp_path,
+                     policy=BatchPolicy(max_batch=2)) as (handle, client):
+            responses = client.submit(
+                [{"kind": "ensemble", "params": {**ENS, "seed": s}}
+                 for s in (51, 52, 53)])
+            assert [r["status"] for r in responses] == ["ok"] * 3
+            assert [r["meta"]["coalesced"] for r in responses] == [2, 2, 1]
+            metrics = handle.daemon.metrics.snapshot()
+            assert metrics["batches"] == 2
+            assert metrics["groups"] == 2

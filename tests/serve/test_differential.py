@@ -34,7 +34,7 @@ def served(tmp_path_factory):
         socket_path=root / "serve.sock",
         artifact_root=root / "artifacts",
         scratch_root=root / "scratch",
-        policy=BatchPolicy(max_batch=8, max_wait_s=0.02),
+        policy=BatchPolicy(max_batch=8),
     )
     with DaemonHandle(config) as handle:
         yield handle, ServeClient(config.socket_path, timeout_s=300)

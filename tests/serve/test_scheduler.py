@@ -16,14 +16,11 @@ class TestBatchPolicy:
     def test_defaults(self):
         policy = BatchPolicy()
         assert policy.max_batch == 16
-        assert policy.max_wait_s == 0.05
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_wait_s=-0.1)
-        BatchPolicy(max_batch=1, max_wait_s=0.0)  # degenerate but legal
+        BatchPolicy(max_batch=1)  # singleton dispatch
 
 
 class TestGroupJobs:
