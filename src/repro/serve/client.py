@@ -47,7 +47,13 @@ class ServeClient:
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(self.timeout_s)
             sock.connect(str(self.socket_path))
-            sock.sendall(dumps_line(payload))
+            try:
+                sock.sendall(dumps_line(payload))
+            except (BrokenPipeError, ConnectionResetError):
+                # The daemon answers a line too long to frame and closes
+                # before taking all of it; its typed answer is still
+                # waiting in the receive buffer.
+                pass
             chunks: List[bytes] = []
             while True:
                 chunk = sock.recv(1 << 20)

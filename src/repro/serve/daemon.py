@@ -18,6 +18,13 @@ Job lifecycle::
     RunSupervisor + deadline budgets) -> per-job futures resolve ->
     NDJSON responses.
 
+The pool holds what the store does not answer: spectrum ground states,
+each with its recorded kicked propagation (a spectrum job propagates
+only the steps its ground state has not recorded yet; the
+``spectrum_qd_steps`` counter sums them), and scf results of
+``memoize: false`` jobs or of a daemon without an artifact store.  Only
+the worker thread extends a pooled propagation record.
+
 A request line longer than the stream limit (asyncio's 64 KiB) cannot
 be framed: it gets a typed ``ProtocolError`` response and the
 connection closes.
@@ -102,7 +109,7 @@ class ServeMetrics:
     _COUNTERS = (
         "submitted", "completed", "failed", "busy_shed", "shutdown_shed",
         "batches", "groups", "coalesced_jobs", "memo_hits", "memo_stores",
-        "warm_hits",
+        "warm_hits", "spectrum_qd_steps",
     )
 
     def __init__(self) -> None:
@@ -556,13 +563,16 @@ class ServeDaemon:
                     results = scf_solve_batch(tasks)
             for spec, result in zip(cold, results):
                 payload = workloads.scf_payload(result)
-                self.pool.put(
-                    warm_key(spec), payload,
-                    nbytes=lambda p: sum(
-                        v.nbytes for v in p.values()
-                        if isinstance(v, np.ndarray)
-                    ),
-                )
+                if self.store is None or not spec.memoize:
+                    # The store answers a memoized repeat before this
+                    # method runs, so pooling it too would only evict.
+                    self.pool.put(
+                        warm_key(spec), payload,
+                        nbytes=lambda p: sum(
+                            v.nbytes for v in p.values()
+                            if isinstance(v, np.ndarray)
+                        ),
+                    )
                 solved[spec.job_id] = payload
         out = []
         for spec in specs:
@@ -588,16 +598,22 @@ class ServeDaemon:
             with trace_span("serve.spectrum.groundstate", "serve",
                             jobs=len(specs)):
                 gs = workloads.spectrum_ground_state(specs[0].params)
-            self.pool.put(key, gs,
-                          nbytes=lambda g: g.nbytes())
         out = []
-        for spec in specs:
-            with trace_span("serve.job", "serve", kind="spectrum",
-                            job=spec.job_id):
-                payload = workloads.spectrum_payload(
-                    gs, spec.params, deadline_s=spec.deadline_s
-                )
-            out.append((spec, payload, {"warm": warm}))
+        propagated = gs.propagated_steps
+        try:
+            for spec in specs:
+                with trace_span("serve.job", "serve", kind="spectrum",
+                                job=spec.job_id):
+                    payload = workloads.spectrum_payload(
+                        gs, spec.params, deadline_s=spec.deadline_s
+                    )
+                out.append((spec, payload, {"warm": warm}))
+        finally:
+            self.metrics.bump("spectrum_qd_steps",
+                              by=gs.propagated_steps - propagated)
+            # Pooled after its jobs, so the size counts the samples
+            # they recorded.
+            self.pool.put(key, gs, nbytes=lambda g: g.nbytes())
         return out
 
     def _compute_ensemble(

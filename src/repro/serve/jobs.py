@@ -91,6 +91,24 @@ PARAM_DEFAULTS: Dict[str, Dict[str, Any]] = {
 #: (istate is per-segment in the stacked tasks, so it is free too).
 _ENSEMBLE_FREE_AXES = ("seed", "ntraj", "batch_size", "istate")
 
+#: Admission budgets of the parameters that size a job's work (and, for
+#: a spectrum's ``steps``, how many samples its pooled ground state
+#: keeps).  The CLI defaults, examples, tests, CI, bench_serve and
+#: perfbench use at most 800 spectrum steps and 128 trajectories, and
+#: no step count there exceeds 1600; these budgets sit far above that,
+#: and a job past one gets a typed ``ValueError`` instead of holding
+#: the worker.
+MAX_SPECTRUM_STEPS = 20_000
+MAX_ENSEMBLE_NTRAJ = 4_096
+MAX_ENSEMBLE_NSTEPS = 5_000
+
+#: Budgeted integer parameters, per kind.
+_BUDGETS: Dict[str, Dict[str, int]] = {
+    "spectrum": {"steps": MAX_SPECTRUM_STEPS},
+    "ensemble": {"ntraj": MAX_ENSEMBLE_NTRAJ,
+                 "nsteps": MAX_ENSEMBLE_NSTEPS},
+}
+
 _JOB_COUNTER = itertools.count(1)
 
 
@@ -116,7 +134,9 @@ def validate_job(raw: Mapping[str, Any],
     """Check and canonicalize one raw job dict into a :class:`JobSpec`.
 
     Unknown kinds and unknown parameter names raise ``ValueError`` (a
-    typo must not silently become a default-parameter run).
+    typo must not silently become a default-parameter run), and so does
+    a budgeted size (:data:`MAX_SPECTRUM_STEPS`, ...) that is not an
+    integer in ``[1, budget]``.
     """
     kind = raw.get("kind")
     if kind not in JOB_KINDS:
@@ -135,6 +155,14 @@ def validate_job(raw: Mapping[str, Any],
         )
     params = dict(defaults)
     params.update({k: given[k] for k in given})
+    for name, budget in _BUDGETS.get(kind, {}).items():
+        value = params[name]
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or not 1 <= value <= budget):
+            raise ValueError(
+                f"{kind} {name} must be an integer in [1, {budget}], "
+                f"got {value!r}"
+            )
     deadline = raw.get("deadline_s", default_deadline_s)
     if deadline is not None:
         deadline = float(deadline)

@@ -14,7 +14,8 @@ scalars, ready for the wire codec and the artifact store.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -23,7 +24,11 @@ from repro.ensemble.path import ClassicalPath, model_path
 from repro.grids import Grid3D
 from repro.qxmd.scf import SCFResult, SCFTask
 from repro.qxmd.sh_kernels import HopPolicy
-from repro.resilience.liveness import check_deadline, deadline_scope
+from repro.resilience.liveness import (
+    DeadlineExceeded,
+    check_deadline,
+    deadline_scope,
+)
 
 #: Delta-kick strength of the absorption-spectrum workload (matches the
 #: CLI's historical hard-coded value).
@@ -39,13 +44,91 @@ SPECTRUM_NCG = 30
 # ---------------------------------------------------------------------- #
 # spectrum: delta-kick absorption (ground state + propagation stages)
 # ---------------------------------------------------------------------- #
+class _PropagationRecord:
+    """The kicked propagation of one ground state, as far as it has run.
+
+    Holds the kicked :class:`~repro.lfd.QDPropagator` after its last
+    step and the ``(time, dipole)`` sample of every step so far.  A
+    sample is recorded before its step's deadline check, so a job whose
+    deadline expires leaves a record the next job continues; any other
+    failure while extending resets it, and the next job restarts from
+    the pre-kick orbitals.
+    """
+
+    def __init__(self) -> None:
+        # In the daemon only its single worker thread extends a pooled
+        # record; the lock keeps any other concurrent caller exact too.
+        self._lock = threading.Lock()
+        self._prop: Any = None
+        self._times: List[float] = []
+        self._dipoles: List[float] = []
+        self.propagated = 0
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def samples(
+        self,
+        gs: "SpectrumGroundState",
+        steps: int,
+        deadline_s: Optional[float],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The first ``steps`` samples, propagating the missing ones."""
+        with self._lock:
+            missing = steps - len(self._times)
+            if missing > 0:
+                self._extend(gs, missing, deadline_s)
+            return (np.array(self._times[:steps]),
+                    np.array(self._dipoles[:steps]))
+
+    def _extend(self, gs: "SpectrumGroundState", nsteps: int,
+                deadline_s: Optional[float]) -> None:
+        from repro import PropagatorConfig, QDPropagator, WaveFunctionSet
+        from repro.lfd.observables import dipole_moment
+
+        if self._prop is None:
+            grid = Grid3D.cubic(gs.grid_points, 0.5)
+            xs, _, _ = grid.meshgrid()
+            wf = WaveFunctionSet(grid, gs.norb, data=gs.psi.copy(),
+                                 copy=False)
+            wf.psi *= np.exp(1j * SPECTRUM_KICK * xs)[..., None]
+            self._prop = QDPropagator(wf, gs.vloc, PropagatorConfig(dt=0.05))
+        occ = np.zeros(gs.norb)
+        occ[0] = 2.0
+
+        def _observe(p: Any) -> None:
+            # The per-step observer doubles as the deadline yield point;
+            # it records the step first, so an expired deadline loses
+            # none of the steps taken.
+            self._times.append(p.time)
+            self._dipoles.append(dipole_moment(p.wf, occ)[0])
+            self.propagated += 1
+            check_deadline("serve.spectrum.propagate")
+
+        try:
+            with deadline_scope(deadline_s, "serve.spectrum.propagate"):
+                self._prop.run(nsteps, observer=_observe)
+        except DeadlineExceeded:
+            raise
+        except BaseException:
+            self._prop = None
+            self._times.clear()
+            self._dipoles.clear()
+            raise
+
+
 @dataclass(frozen=True)
 class SpectrumGroundState:
-    """The warm-poolable stage of a spectrum job: a converged eigensolve.
+    """The warm-poolable stage of a spectrum job: a converged eigensolve
+    and the record of its kicked propagation.
 
-    ``psi`` is the *pre-kick* orbital set; propagation works on a copy,
-    so one pooled ground state serves any number of propagations
-    verbatim (bit-identical to recomputing it from scratch).
+    ``psi`` is the *pre-kick* orbital set and never changes.  The private
+    record continues one kicked propagation across jobs: a job of n
+    steps reads the first n samples and propagates only the steps not
+    recorded yet.  ``QDPropagator.run`` has no per-call setup, so k
+    recorded steps followed by m more run the same floating-point
+    program as k + m steps at once, and one pooled ground state answers
+    any sequence of jobs bit-identically to a fresh one.
     """
 
     grid_points: int
@@ -53,10 +136,27 @@ class SpectrumGroundState:
     evals: np.ndarray
     psi: np.ndarray
     vloc: np.ndarray
+    _record: _PropagationRecord = field(
+        default_factory=_PropagationRecord, init=False, repr=False,
+        compare=False,
+    )
+
+    @property
+    def propagated_steps(self) -> int:
+        """QD steps propagated for this ground state, resets included."""
+        return self._record.propagated
 
     def nbytes(self) -> int:
-        """Approximate in-memory footprint (for pool budgets)."""
-        return int(self.evals.nbytes + self.psi.nbytes + self.vloc.nbytes)
+        """Approximate in-memory footprint (for pool budgets).
+
+        Counts the record's kicked orbital copy and complex phase field
+        from the start (the first job creates them), plus the samples
+        recorded so far.
+        """
+        record = (self.psi.nbytes + 2 * self.vloc.nbytes
+                  + 16 * len(self._record))
+        return int(self.evals.nbytes + self.psi.nbytes + self.vloc.nbytes
+                   + record)
 
 
 def spectrum_ground_state(params: Mapping[str, Any]) -> SpectrumGroundState:
@@ -91,39 +191,22 @@ def spectrum_payload(
     params: Mapping[str, Any],
     deadline_s: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Kick, propagate and Fourier-analyse one spectrum job."""
-    from repro import PropagatorConfig, QDPropagator, WaveFunctionSet
+    """Kick, propagate and Fourier-analyse one spectrum job.
+
+    Propagates only the steps ``gs`` has not recorded yet; on a fresh
+    ground state that is the whole run.
+    """
     from repro.analysis import absorption_peaks, dipole_to_spectrum
-    from repro.lfd.observables import dipole_moment
 
-    grid = Grid3D.cubic(gs.grid_points, 0.5)
-    xs, _, _ = grid.meshgrid()
-    wf = WaveFunctionSet(grid, gs.norb, data=gs.psi.copy(), copy=False)
-    wf.psi *= np.exp(1j * SPECTRUM_KICK * xs)[..., None]
-    occ = np.zeros(gs.norb)
-    occ[0] = 2.0
-    prop = QDPropagator(wf, gs.vloc, PropagatorConfig(dt=0.05))
-    times: List[float] = []
-    dips: List[float] = []
-
-    def _observe(p: Any) -> None:
-        # The per-step observer doubles as the deadline yield point: an
-        # armed deadline bounds the propagation loop step by step.
-        check_deadline("serve.spectrum.propagate")
-        times.append(p.time)
-        dips.append(dipole_moment(p.wf, occ)[0])
-
-    with deadline_scope(deadline_s, "serve.spectrum.propagate"):
-        prop.run(int(params["steps"]), observer=_observe)
+    times, dips = gs._record.samples(gs, int(params["steps"]), deadline_s)
     omega, spectrum = dipole_to_spectrum(
-        np.array(times), np.array(dips),
-        kick_strength=SPECTRUM_KICK, damping=SPECTRUM_DAMPING,
+        times, dips, kick_strength=SPECTRUM_KICK, damping=SPECTRUM_DAMPING,
     )
     peaks = absorption_peaks(omega, spectrum, min_height=0.3)
     return {
         "eigenvalues": gs.evals,
-        "times": np.array(times),
-        "dipole": np.array(dips),
+        "times": times,
+        "dipole": dips,
         "omega": np.asarray(omega),
         "spectrum": np.asarray(spectrum),
         "peaks": np.asarray(peaks),

@@ -95,6 +95,18 @@ class TestOps:
             assert client.ping()  # the daemon serves the next connection
         assert "Unhandled exception" not in caplog.text
 
+    @pytest.mark.parametrize("pad", [300_000, 2_000_000])
+    def test_client_gets_typed_answer_when_send_breaks(self, tmp_path, pad):
+        """A line too long for the socket buffers breaks the client's
+        send (the daemon answers and closes first); the client still
+        returns the daemon's typed answer."""
+        with serving(tmp_path) as (_, client):
+            response = client.request({"op": "ping", "pad": "x" * pad})
+            assert response["status"] == "error"
+            assert response["error"]["type"] == "ProtocolError"
+            assert "too long" in response["error"]["message"]
+            assert client.ping()
+
     def test_empty_submit_rejected(self, tmp_path):
         with serving(tmp_path) as (_, client):
             response = client.request({"op": "submit", "jobs": []})
@@ -162,6 +174,22 @@ class TestSubmit:
             assert "unknown job kind" in responses[0]["error"]["message"]
             assert "ntrajs" in responses[1]["error"]["message"]
 
+    def test_oversize_jobs_rejected_at_admission(self, tmp_path):
+        with serving(tmp_path) as (handle, client):
+            t0 = time.monotonic()
+            responses = client.submit([
+                {"kind": "ensemble", "params": {"ntraj": 10**12}},
+                {"kind": "spectrum", "params": {"steps": 10**9}},
+            ])
+            assert time.monotonic() - t0 < 5.0
+            assert [r["status"] for r in responses] == ["error", "error"]
+            assert [r["error"]["type"] for r in responses] == \
+                ["ValueError", "ValueError"]
+            assert "ntraj" in responses[0]["error"]["message"]
+            assert "steps" in responses[1]["error"]["message"]
+            assert handle.daemon.metrics.snapshot()["groups"] == 0
+            assert client.ping()
+
     def test_execution_failure_is_typed(self, tmp_path):
         with serving(tmp_path) as (_, client):
             with pytest.raises(ServeError):
@@ -180,8 +208,21 @@ class TestSubmit:
             assert np.array_equal(cold[0]["result"]["eigenvalues"],
                                   warm[0]["result"]["eigenvalues"])
 
+    def test_memoized_results_do_not_evict_ground_states(self, tmp_path):
+        """The store answers a memoized scf repeat, so the pool does not
+        hold it too, and a one-entry pool keeps its spectrum."""
+        spect = {"grid": 8, "norb": 2, "steps": 30}
+        with serving(tmp_path, pool_entries=1) as (_, client):
+            client.submit([{"kind": "spectrum", "params": dict(spect)}])
+            client.run_job("scf", dict(SCF))
+            again = client.submit([{"kind": "spectrum",
+                                    "params": {**spect, "steps": 20}}])
+            assert again[0]["meta"]["warm"] is True
+            assert client.stats()["pool"]["evictions"] == 0
+
     def test_invalidate_pool_and_artifacts(self, tmp_path):
         with serving(tmp_path) as (_, client):
+            client.run_job("scf", dict(SCF), memoize=False)
             client.run_job("scf", dict(SCF))
             stats = client.stats()
             assert stats["pool"]["entries"] == 1

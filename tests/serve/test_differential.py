@@ -12,6 +12,9 @@ is stricter than the <=1e-12 the issue asks for.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,111 @@ class TestSpectrum:
         assert warm[0]["meta"]["warm"] is True
         assert_payloads_bitwise_equal(cold[0]["result"], want)
         assert_payloads_bitwise_equal(warm[0]["result"], want)
+
+    def test_recorded_propagation_equals_one_shot(self, served):
+        """Each job reads its prefix of the ground state's one kicked
+        propagation, extended only past its end."""
+        handle, client = served
+        before = qd_steps(handle)
+        first = client.submit([spectrum_job(41, 40), spectrum_job(41, 25)])
+        later = [client.submit([spectrum_job(41, steps)])[0]
+                 for steps in (60, 10)]
+        for response, steps in zip(first + later, (40, 25, 60, 10)):
+            assert response["status"] == "ok", response
+            assert_payloads_bitwise_equal(response["result"],
+                                          spectrum_reference(41, steps))
+        assert qd_steps(handle) - before == 60
+
+    def test_expired_deadline_keeps_the_record(self, served):
+        """A job whose deadline expires mid-extension fails typed; the
+        steps it took stay recorded for the next job to continue."""
+        handle, client = served
+        before = qd_steps(handle)
+        client.submit([spectrum_job(42, 20)])
+        expired = client.submit([{**spectrum_job(42, 500),
+                                  "deadline_s": 1e-6}])[0]
+        assert expired["status"] == "error"
+        assert expired["error"]["type"] == "DeadlineExceeded"
+        (after,) = client.submit([spectrum_job(42, 40)])
+        assert_payloads_bitwise_equal(after["result"],
+                                      spectrum_reference(42, 40))
+        # 20 steps, the one step the expired job recorded, then 19 more.
+        assert qd_steps(handle) - before == 40
+
+    def test_failed_step_resets_the_record(self, served, monkeypatch):
+        """An exception inside a QD step discards the half-stepped
+        orbitals: the next job restarts from the pre-kick state."""
+        import repro.lfd.propagator as propagator
+
+        _, client = served
+        client.submit([spectrum_job(43, 20)])
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected kinetic failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(propagator, "kinetic_step", broken)
+            failed = client.submit([spectrum_job(43, 50)])[0]
+        assert failed["status"] == "error"
+        assert failed["error"]["type"] == "RuntimeError"
+        (after,) = client.submit([spectrum_job(43, 30)])
+        assert_payloads_bitwise_equal(after["result"],
+                                      spectrum_reference(43, 30))
+
+    def test_concurrent_callers_share_one_record(self):
+        """Threads extending one ground state's record at once (more
+        threads than cores, frequent switches) still get exact answers."""
+        full = canonical("spectrum", {**SPECT, "seed": 44})
+        gs = workloads.spectrum_ground_state(full)
+        plan = [[30, 12, 45], [45, 20, 8], [18, 50, 30], [50, 9, 25],
+                [25, 40, 12], [8, 30, 50]]
+        answers = {}
+        errors = []
+
+        def caller(i, steps_list):
+            try:
+                for steps in steps_list:
+                    answers[i, steps] = workloads.spectrum_payload(
+                        gs, {**full, "steps": steps})
+            except BaseException as exc:  # noqa: BLE001 -- re-raised below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i, steps))
+                       for i, steps in enumerate(plan)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert gs.propagated_steps == 50
+        assert len(answers) == 18
+        want = {steps: spectrum_reference(44, steps)
+                for steps in {steps for _, steps in answers}}
+        for (_, steps), got in answers.items():
+            assert_payloads_bitwise_equal(got, want[steps])
+
+
+def spectrum_job(seed, steps):
+    """An unmemoized spectrum job, so every answer is computed."""
+    return {"kind": "spectrum", "memoize": False,
+            "params": {**SPECT, "seed": seed, "steps": steps}}
+
+
+def spectrum_reference(seed, steps):
+    """The one-shot answer, from a fresh ground state."""
+    full = canonical("spectrum", {**SPECT, "seed": seed, "steps": steps})
+    return workloads.spectrum_payload(workloads.spectrum_ground_state(full),
+                                      full)
+
+
+def qd_steps(handle):
+    return handle.daemon.metrics.snapshot()["spectrum_qd_steps"]
 
 
 class TestRun:

@@ -6,6 +6,9 @@ import pytest
 
 from repro.artifacts import machine_fingerprint
 from repro.serve.jobs import (
+    MAX_ENSEMBLE_NSTEPS,
+    MAX_ENSEMBLE_NTRAJ,
+    MAX_SPECTRUM_STEPS,
     PARAM_DEFAULTS,
     artifact_key,
     batch_key,
@@ -46,6 +49,20 @@ class TestValidate:
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="unknown ensemble parameter"):
             validate_job({"kind": "ensemble", "params": {"ntrajs": 8}})
+
+    @pytest.mark.parametrize("kind,name,budget", [
+        ("spectrum", "steps", MAX_SPECTRUM_STEPS),
+        ("ensemble", "ntraj", MAX_ENSEMBLE_NTRAJ),
+        ("ensemble", "nsteps", MAX_ENSEMBLE_NSTEPS),
+    ])
+    def test_work_sizes_are_budgeted(self, kind, name, budget):
+        assert validate_job({"kind": kind}).params[name] <= budget
+        for value in (1, budget):
+            spec = validate_job({"kind": kind, "params": {name: value}})
+            assert spec.params[name] == value
+        for value in (0, -3, budget + 1, 10**12, 2.0, True, "8", None):
+            with pytest.raises(ValueError, match=f"{kind} {name} must be"):
+                validate_job({"kind": kind, "params": {name: value}})
 
     def test_bad_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline_s"):

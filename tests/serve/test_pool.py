@@ -102,3 +102,21 @@ def test_thread_safety_smoke():
         t.join()
     assert errors == []
     assert len(pool) <= 4
+
+
+def test_spectrum_ground_state_footprint_counts_its_record():
+    """A pooled spectrum ground state reports the kicked orbital copy
+    and phase field of its record from the start, then its samples."""
+    from repro.serve import workloads
+    from repro.serve.jobs import validate_job
+
+    params = validate_job({"kind": "spectrum",
+                           "params": {"grid": 8, "norb": 2,
+                                      "steps": 12}}).params
+    gs = workloads.spectrum_ground_state(params)
+    arrays = gs.evals.nbytes + gs.psi.nbytes + gs.vloc.nbytes
+    fresh = gs.nbytes()
+    assert fresh == arrays + gs.psi.nbytes + 2 * gs.vloc.nbytes
+    workloads.spectrum_payload(gs, params)
+    assert gs.propagated_steps == 12
+    assert gs.nbytes() == fresh + 12 * 16
