@@ -164,8 +164,20 @@ BACKEND_SCALING_NATOMS = 5120.0
 MIN_MODELED_SPEEDUP = 1.3
 
 
-def _measure_backend(name: str, workers: int):
-    """Wall-time one small distributed DC solve on a given backend."""
+#: Timed solves per backend, after one untimed warm-up solve each.
+BACKEND_REPEATS = 5
+
+
+def _measure_backends(backends):
+    """Median wall time of one small distributed DC solve per backend.
+
+    Each executor is built once and warmed by one untimed solve, which
+    pays the first-call costs (imports, FFT plans, worker start-up);
+    then the backends take turns, ``BACKEND_REPEATS`` timed solves each,
+    so a host that drifts during the run drifts for all of them alike.
+    Every solve gets a fresh solver, so each does the same work.
+    """
+    import contextlib
     import time
 
     from repro.grids import DomainDecomposition
@@ -180,7 +192,8 @@ def _measure_backend(name: str, workers: int):
          [L / 4, 3 * L / 4, L / 2], [3 * L / 4, 3 * L / 4, L / 2]]
     )
     sp = [get_species("H")] * 4
-    with make_executor(name, workers=workers, seed=5) as ex:
+
+    def solve(ex):
         solver = DistributedDCSolver(
             grid, dec, pos, sp, nranks=4, norb_extra=1, nscf=2, ncg=1,
             seed=5, executor=ex,
@@ -188,8 +201,22 @@ def _measure_backend(name: str, workers: int):
         t0 = time.perf_counter()
         result = solver.solve()
         wall = time.perf_counter() - t0
-    assert np.isfinite(result.energy_history[-1])
-    return wall, result
+        assert np.isfinite(result.energy_history[-1])
+        return wall
+
+    with contextlib.ExitStack() as stack:
+        executors = {
+            name: stack.enter_context(make_executor(name, workers=workers,
+                                                    seed=5))
+            for name, workers in backends
+        }
+        for ex in executors.values():
+            solve(ex)  # warm-up, untimed
+        walls = {name: [] for name in executors}
+        for _ in range(BACKEND_REPEATS):
+            for name, ex in executors.items():
+                walls[name].append(solve(ex))
+    return {name: float(np.median(w)) for name, w in walls.items()}
 
 
 def emit_backend_scaling():
@@ -197,8 +224,8 @@ def emit_backend_scaling():
 
     Modeled entries come from the calibrated Fig. 3 strong-scaling model
     (deterministic, regression-gated at 1e-6 rtol); measured entries are
-    real wall times of one small distributed DC solve per backend at the
-    documented reduced scale (gated only as a ratio, since worker
+    median warm wall times of one small distributed DC solve per backend
+    at the documented reduced scale (gated only as a ratio, since worker
     processes on a single-core runner are slower than serial).
     """
     import os
@@ -219,14 +246,14 @@ def emit_backend_scaling():
         }
         for p in BACKEND_SCALING_P
     }
-    measured = {}
-    for name, workers in (("serial", 1), ("thread", 4), ("process", 4)):
-        wall, _ = _measure_backend(name, workers)
-        measured[name] = wall
+    backends = (("serial", 1), ("thread", 4), ("process", 4))
+    measured = _measure_backends(backends)
+    for name, workers in backends:
         kernels[f"distributed_solve_{name}"] = {
-            "time_s": wall,
+            "time_s": measured[name],
             "kind": "measured",
             "workers": workers,
+            "repeats": BACKEND_REPEATS,
         }
     modeled_speedup = by_p[1].step_time / by_p[4].step_time
     extra = {

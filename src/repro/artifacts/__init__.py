@@ -1,12 +1,12 @@
-"""Content-addressed artifacts: shared fingerprints, stores, documents.
+"""Content-addressed artifacts: shared fingerprints and the store.
 
 The generalization of the tuning cache's keying discipline into a
 subsystem every layer can use: :mod:`repro.artifacts.fingerprint` is the
-single home of the config/code/machine digests,
+single home of the config/code/machine digests, and
 :mod:`repro.artifacts.store` maps fingerprint keys to bounded on-disk
-npz artifacts (the serve layer's result memoizer), and
-:mod:`repro.artifacts.jsondoc` holds the crash-safe single-file JSON
-document semantics the tuning cache now runs on.
+verified archives (the serve layer's result memoizer).  How any file is
+published and verified -- archives and JSON documents alike -- is
+decided in :mod:`repro.resilience.atomicio`.
 """
 
 from repro.artifacts.fingerprint import (
@@ -15,13 +15,11 @@ from repro.artifacts.fingerprint import (
     config_hash,
     machine_fingerprint,
 )
-from repro.artifacts.jsondoc import JsonDocumentStore
 from repro.artifacts.store import ArtifactKey, ArtifactStore
 
 __all__ = [
     "ArtifactKey",
     "ArtifactStore",
-    "JsonDocumentStore",
     "canonical_json",
     "code_fingerprint",
     "config_hash",

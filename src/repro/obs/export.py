@@ -6,18 +6,26 @@ timestamps), which loads directly in ``chrome://tracing`` and in
 Perfetto's legacy-trace importer.  Span categories map to the event
 ``cat`` field so the paper's kernel taxonomy is filterable in the UI,
 and the charged flop/byte tallies ride along in ``args``.
+
+The file is a verified document of :mod:`repro.resilience.atomicio`:
+its ``schema`` and ``sha256`` keys sit beside ``traceEvents``, where the
+Trace Event Format keeps unknown top-level keys as trace metadata, and
+:func:`load_chrome_trace` refuses a torn or edited file.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Dict, Iterable, List, Union
 
 from repro.obs.tracer import SpanRecord, Tracer
+from repro.resilience.atomicio import read_document, write_document
 
 #: Trace-event process id used for all spans (one simulated process).
 TRACE_PID = 1
+
+#: Schema of a Chrome trace document.
+TRACE_SCHEMA = "repro-chrome-trace/1"
 
 
 def chrome_trace_events(records: Iterable[SpanRecord]) -> List[Dict]:
@@ -62,23 +70,24 @@ def write_chrome_trace(
     path: Union[str, pathlib.Path],
     source: Union[Tracer, Iterable[SpanRecord]],
 ) -> pathlib.Path:
-    """Write one trace (a tracer or its records) as Chrome trace JSON."""
+    """Publish one trace (a tracer or its records) as Chrome trace JSON."""
     records = source.records if isinstance(source, Tracer) else list(source)
-    path = pathlib.Path(path)
-    if path.parent != pathlib.Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "traceEvents": chrome_trace_events(records),
         "displayTimeUnit": "ms",
     }
-    path.write_text(json.dumps(doc) + "\n")
-    return path
+    return write_document(path, doc, TRACE_SCHEMA)
 
 
 def load_chrome_trace(path: Union[str, pathlib.Path]) -> Dict:
-    """Load and structurally validate a Chrome trace-event file."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(doc, dict) or "traceEvents" not in doc:
+    """Load, verify and structurally validate a Chrome trace-event file.
+
+    A file that fails document verification raises
+    :class:`~repro.resilience.atomicio.CheckpointCorruptError`; a
+    verified document whose events are malformed raises ``ValueError``.
+    """
+    doc = read_document(path, TRACE_SCHEMA)
+    if "traceEvents" not in doc:
         raise ValueError("not a Chrome trace-event object (no traceEvents)")
     for ev in doc["traceEvents"]:
         if "ph" not in ev or "pid" not in ev:

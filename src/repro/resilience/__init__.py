@@ -11,8 +11,8 @@ Cooperating sub-modules:
 * :mod:`repro.resilience.liveness` -- deadline budgets, run-wide retry
   budgets and a circuit breaker (the bounded-waiting primitives);
 * :mod:`repro.resilience.atomicio` -- fsync'd same-directory atomic
-  writes and the one verified archive format shared by every
-  persistence path;
+  writes, the verified archive (arrays) and the verified document
+  (JSON): how every file the package writes is published and checked;
 * :mod:`repro.resilience.supervisor` -- checkpointed segment execution
   with bounded retries, deadline enforcement, graceful degradation,
   corrupt-checkpoint fallback and a structured JSON event log, on top
@@ -32,7 +32,9 @@ from repro.resilience.atomicio import (
     atomic_write_text,
     fsync_directory,
     read_archive,
+    read_document,
     write_archive,
+    write_document,
 )
 from repro.resilience.faults import (
     KNOWN_SITES,
@@ -85,7 +87,9 @@ __all__ = [
     "atomic_write_text",
     "fsync_directory",
     "read_archive",
+    "read_document",
     "write_archive",
+    "write_document",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",

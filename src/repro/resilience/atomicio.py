@@ -1,8 +1,8 @@
-"""Torn-write-proof persistence: atomic writes and the verified archive.
+"""Torn-write-proof persistence: atomic writes, archives and documents.
 
-Every persistence path in the repo (checkpoints, partial ensembles,
-artifacts, tuning cache, resilience event log) must survive two failure
-modes that plain ``open().write()`` does not:
+This module decides how every file the package writes is published and
+verified.  Each write must survive two failure modes that plain
+``open().write()`` does not:
 
 * **torn writes** -- a crash (or SIGKILL) mid-write leaves a truncated
   file; ``os.rename`` from another filesystem (``tempfile`` defaults to
@@ -17,19 +17,35 @@ the rename (so the rename can never publish a name pointing at
 unwritten blocks), and the directory entry itself is ``fsync``'d after
 the rename (so the publish survives a power cut).  On any failure the
 temp file is removed and the previous destination bytes are left
-untouched.  :func:`atomic_write_bytes` publishes a byte string this
-way.
+untouched.  :func:`atomic_write_bytes` / :func:`atomic_write_text`
+publish a byte or text string this way; they carry no digest, for the
+files people edit (the committed lint baseline) or whose format has no
+room for one (a SARIF report).
 
-:func:`write_archive` / :func:`read_archive` are the package's one
-on-disk format for named NumPy arrays.  An archive is a stored
-(uncompressed) ``.npz`` -- ``np.load`` still opens it -- written
-straight into the temp file, with a ``__meta__.json`` member that
-records the schema name, the container version, the caller's metadata
-and a SHA-256 over every array member's name, dtype, shape and bytes in
-name order.  :func:`read_archive` reads each member once, recomputes
-that digest and checks the schema before it returns anything, so no
-caller can apply state from a missing, torn, corrupt or foreign file:
-each of those raises :class:`CheckpointCorruptError`.
+Two verified formats are built on that discipline, and each reader
+checks everything before it returns anything, so no caller can apply
+state from a missing, torn, corrupt, edited or foreign file: each of
+those raises :class:`CheckpointCorruptError`.
+
+* :func:`write_archive` / :func:`read_archive` -- named NumPy arrays.
+  An archive is a stored (uncompressed) ``.npz`` -- ``np.load`` still
+  opens it -- written straight into the temp file, with a
+  ``__meta__.json`` member that records the schema name, the container
+  version, the caller's metadata and a SHA-256 over every array
+  member's name, dtype, shape and bytes in name order.
+* :func:`write_document` / :func:`read_document` -- one JSON object
+  (tuning cache, profile and report, Chrome trace, lint cache).  The
+  payload keys stay at the top level beside two reserved keys:
+  ``schema`` and ``sha256``, the SHA-256 of the canonical JSON (sorted
+  keys, compact separators) of everything but ``sha256``.  The reader
+  recomputes it from the parsed object, so an edit that still parses
+  is refused like a flipped byte.
+
+Two writes elsewhere are deliberately not published here: the
+resilience event log is an append stream whose reader skips torn lines
+(``ResilienceLog`` in :mod:`repro.resilience.supervisor`), and the
+``checkpoint.corrupt`` fault site flips bytes of a published archive in
+place (``_corrupt_file`` in :mod:`repro.resilience.checkpointing`).
 
 Fault injection: callers pass a ``fault_prefix`` naming their subsystem
 (``"cache"``, ``"checkpoint"``, ``"artifact"``, ...); the writer then
@@ -50,6 +66,7 @@ import json
 import os
 import pathlib
 import threading
+import tokenize
 import zipfile
 import zlib
 from typing import Any, BinaryIO, Dict, Iterator, Mapping, Optional, Tuple, Union
@@ -64,6 +81,19 @@ ARCHIVE_VERSION = 1
 #: Reserved name of the JSON record; its member is ``__meta__.json``.
 META = "__meta__"
 
+#: Top-level keys a document reserves for its schema name and digest.
+_RESERVED_KEYS = ("schema", "sha256")
+
+#: What the zip and ``.npy`` readers raise on malformed bytes.  A flipped
+#: header byte surfaces before any CRC is checked: an encryption flag
+#: (``RuntimeError``), a seek before the file start (``OSError``), an
+#: unbalanced or oversized ``.npy`` shape (``tokenize.TokenError``,
+#: ``OverflowError``, ``MemoryError``) or an unparseable dtype
+#: (``TypeError``, ``SyntaxError``).
+_UNREADABLE = (zipfile.BadZipFile, OSError, EOFError, ValueError, TypeError,
+               SyntaxError, OverflowError, MemoryError, RuntimeError,
+               zlib.error, tokenize.TokenError)
+
 #: Disambiguates temp names when several threads of one process write
 #: the same destination concurrently (e.g. racing artifact-store puts):
 #: a pid-only suffix would make them scribble on each other's temp file.
@@ -73,8 +103,9 @@ PathLike = Union[str, pathlib.Path]
 
 
 class CheckpointCorruptError(RuntimeError):
-    """An archive failed verification: it is missing, torn or corrupt,
-    or it carries the wrong schema or version."""
+    """An archive or document failed verification: it is missing,
+    unreadable, torn or corrupt, fails its digest, or carries the wrong
+    schema or version."""
 
 
 def fsync_directory(directory: PathLike) -> None:
@@ -232,8 +263,9 @@ def read_archive(
                     )
     except FileNotFoundError as exc:
         raise CheckpointCorruptError(f"archive {path} does not exist") from exc
-    except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError,
-            zlib.error) as exc:
+    except CheckpointCorruptError:
+        raise
+    except _UNREADABLE as exc:
         raise CheckpointCorruptError(
             f"archive {path} is unreadable: {exc}"
         ) from exc
@@ -258,3 +290,79 @@ def read_archive(
             f"expected {schema!r}"
         )
     return arrays, record["meta"]
+
+
+def _document_digest(record: Mapping[str, Any]) -> str:
+    """SHA-256 of the canonical JSON (sorted keys, compact) of ``record``."""
+    canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def write_document(
+    path: PathLike,
+    doc: Mapping[str, Any],
+    schema: str,
+    fault_prefix: Optional[str] = None,
+) -> pathlib.Path:
+    """Atomically publish the JSON object ``doc`` as a verified document.
+
+    ``doc``'s keys stay at the top level; ``schema`` and ``sha256`` are
+    added beside them, and a ``doc`` that already holds either is
+    refused with ``ValueError``.  The file is the canonical JSON of the
+    whole record plus a newline.  Returns the destination path.
+    """
+    path = pathlib.Path(path)
+    clash = [key for key in _RESERVED_KEYS if key in doc]
+    if clash:
+        raise ValueError(f"document key(s) {clash} are reserved")
+    record = dict(doc)
+    record["schema"] = schema
+    record["sha256"] = _document_digest(record)
+    text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    with _atomic_file(path, fault_prefix) as fh:
+        fh.write(text.encode("utf-8"))
+    return path
+
+
+def read_document(
+    path: PathLike, schema: Optional[str] = None
+) -> Dict[str, Any]:
+    """Read and verify a document; returns its payload keys.
+
+    The digest is recomputed from the parsed object and (unless
+    ``schema`` is None) the schema is checked before anything is
+    returned.  A missing or unreadable file, bytes that are not UTF-8
+    JSON, a value that is not an object, a missing or wrong digest and
+    a wrong schema each raise :class:`CheckpointCorruptError`.
+    """
+    path = pathlib.Path(path)
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise CheckpointCorruptError(f"document {path} does not exist") from exc
+    except OSError as exc:
+        raise CheckpointCorruptError(
+            f"document {path} is unreadable: {exc}"
+        ) from exc
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError.
+        raise CheckpointCorruptError(
+            f"document {path} is unreadable: {exc}"
+        ) from exc
+    if not isinstance(record, dict):
+        raise CheckpointCorruptError(f"document {path} is not a JSON object")
+    recorded = record.pop("sha256", None)
+    digest = _document_digest(record)
+    if digest != recorded:
+        raise CheckpointCorruptError(
+            f"document {path} failed its integrity check: sha256 "
+            f"{digest[:12]}... != recorded {str(recorded)[:12]}..."
+        )
+    found = record.pop("schema", None)
+    if schema is not None and found != schema:
+        raise CheckpointCorruptError(
+            f"document {path} has schema {found!r}, expected {schema!r}"
+        )
+    return record

@@ -59,14 +59,12 @@ KNOWN_SITES: Tuple[str, ...] = (
     "executor.slow",          # worker runs its chunk late (still beating)
     "checkpoint.torn_write",  # checkpoint archive truncated after publish
     "checkpoint.enospc",      # disk full while writing a checkpoint
-    "cache.torn_write",       # tuning cache JSON published truncated
+    "cache.torn_write",       # tuning cache document published truncated
     "cache.enospc",           # disk full while saving the tuning cache
     "eventlog.torn_write",    # resilience event log line torn mid-append
     "eventlog.enospc",        # disk full while appending an event
     "artifact.torn_write",    # artifact-store npz published truncated
     "artifact.enospc",        # disk full while publishing an artifact
-    "jsondoc.torn_write",     # JSON document store published truncated
-    "jsondoc.enospc",         # disk full while saving a JSON document
 )
 
 

@@ -37,6 +37,7 @@ from repro.core.timescale import TimescaleSplit
 from repro.device.allocator import DeviceMemoryError
 from repro.obs import trace_span
 from repro.perf.counters import CounterSet
+from repro.resilience.atomicio import atomic_write_text
 from repro.resilience.checkpointing import (
     _CKPT_RE,
     CheckpointCorruptError,
@@ -199,8 +200,7 @@ class ResilienceLog:
         self._t0 = time.perf_counter()
         self._mirror = self.path is not None
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
+            atomic_write_text(self.path, "")
 
     def _mirror_line(self, event: Dict) -> None:
         """Best-effort append of one JSON line to the mirror file."""

@@ -91,22 +91,28 @@ PARAM_DEFAULTS: Dict[str, Dict[str, Any]] = {
 #: (istate is per-segment in the stacked tasks, so it is free too).
 _ENSEMBLE_FREE_AXES = ("seed", "ntraj", "batch_size", "istate")
 
-#: Admission budgets of the parameters that size a job's work (and, for
-#: a spectrum's ``steps``, how many samples its pooled ground state
-#: keeps).  The CLI defaults, examples, tests, CI, bench_serve and
-#: perfbench use at most 800 spectrum steps and 128 trajectories, and
-#: no step count there exceeds 1600; these budgets sit far above that,
-#: and a job past one gets a typed ``ValueError`` instead of holding
-#: the worker.
+#: Admission budgets of the integer parameters that size a job's work
+#: (and, for a spectrum's ``steps``, how many samples its pooled ground
+#: state keeps).  The CLI defaults, examples, tests, CI, bench_serve and
+#: perfbench use grids of at most 16 points a side, at most 4 orbitals,
+#: states, SCF or CG iterations, 20 QD steps per MD step, 800 spectrum
+#: steps and 128 trajectories, and no step count there exceeds 1600;
+#: these budgets sit far above that, and a job past one gets a typed
+#: ``ValueError`` instead of holding the worker.  (A run's ``buffer``
+#: may be 0 and is bounded by its grid.)
 MAX_SPECTRUM_STEPS = 20_000
 MAX_ENSEMBLE_NTRAJ = 4_096
 MAX_ENSEMBLE_NSTEPS = 5_000
 
 #: Budgeted integer parameters, per kind.
 _BUDGETS: Dict[str, Dict[str, int]] = {
-    "spectrum": {"steps": MAX_SPECTRUM_STEPS},
+    "run": {"grid": 128, "steps": 10_000, "n_qd": 10_000,
+            "nscf": 1_000, "ncg": 1_000},
+    "spectrum": {"grid": 128, "norb": 512, "steps": MAX_SPECTRUM_STEPS},
+    "scf": {"grid": 128, "norb": 512, "nscf": 1_000, "ncg": 1_000},
     "ensemble": {"ntraj": MAX_ENSEMBLE_NTRAJ,
-                 "nsteps": MAX_ENSEMBLE_NSTEPS},
+                 "nsteps": MAX_ENSEMBLE_NSTEPS,
+                 "nstates": 256, "substeps": 10_000},
 }
 
 _JOB_COUNTER = itertools.count(1)
@@ -165,8 +171,13 @@ def validate_job(raw: Mapping[str, Any],
             )
     deadline = raw.get("deadline_s", default_deadline_s)
     if deadline is not None:
-        deadline = float(deadline)
-        if deadline <= 0:
+        try:
+            deadline = float(deadline)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"deadline_s must be a number, got {deadline!r}"
+            ) from exc
+        if not deadline > 0:  # also refuses NaN
             raise ValueError("deadline_s must be positive (or null)")
     job_id = str(raw.get("id") or f"job-{next(_JOB_COUNTER)}")
     return JobSpec(

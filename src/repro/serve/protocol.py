@@ -28,6 +28,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import tokenize
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -57,9 +58,19 @@ def encode_array(array: np.ndarray) -> Dict[str, str]:
 
 
 def decode_array(blob: Dict[str, str]) -> np.ndarray:
-    """Inverse of :func:`encode_array`."""
-    raw = base64.b64decode(blob[_ARRAY_KEY].encode("ascii"))
-    return np.asarray(np.load(io.BytesIO(raw), allow_pickle=False))
+    """Inverse of :func:`encode_array`.
+
+    A blob that is not base64 of one ``.npy`` array raises
+    :class:`ProtocolError`.
+    """
+    try:
+        raw = base64.b64decode(blob[_ARRAY_KEY], validate=True)
+        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    except (TypeError, ValueError, SyntaxError, OverflowError, MemoryError,
+            tokenize.TokenError) as exc:
+        # binascii.Error is a ValueError; the .npy header parser raises
+        # the rest for an unbalanced, oversized or unparseable header.
+        raise ProtocolError(f"malformed array blob: {exc}") from exc
 
 
 def encode_payload(value: Any) -> Any:
@@ -85,7 +96,10 @@ def encode_payload(value: Any) -> Any:
 
 
 def decode_payload(value: Any) -> Any:
-    """Recursively decode a wire payload back into arrays and scalars."""
+    """Recursively decode a wire payload back into arrays and scalars.
+
+    A malformed array blob raises :class:`ProtocolError`.
+    """
     if isinstance(value, dict):
         if set(value.keys()) == {_ARRAY_KEY}:
             return decode_array(value)
@@ -105,7 +119,9 @@ def loads_line(line: bytes) -> Dict[str, Any]:
     """Parse one protocol line; raises :class:`ProtocolError` if bad."""
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError, JSONDecodeError and an
+        # integer literal past the interpreter's digit limit.
         raise ProtocolError(f"malformed protocol line: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError("protocol line must be a JSON object")

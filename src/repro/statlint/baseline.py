@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
+from repro.resilience.atomicio import atomic_write_text
 from repro.statlint.engine import Finding, LintResult
 
 BASELINE_VERSION = 1
@@ -148,14 +149,18 @@ class Baseline:
         return cls(entries)
 
     def save(self, path: str | Path) -> None:
-        """Write the baseline document (version, tool, findings) as JSON."""
+        """Atomically write the baseline (version, tool, findings) as JSON.
+
+        No digest is embedded: the file is committed, and people edit
+        its justifications by hand.
+        """
         doc = {
             "version": BASELINE_VERSION,
             "tool": "dclint",
             "findings": [e.to_dict() for e in self.entries],
         }
-        Path(path).write_text(
-            json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8"
+        atomic_write_text(
+            path, json.dumps(doc, indent=2, sort_keys=False) + "\n"
         )
 
 

@@ -18,22 +18,27 @@ On a full hit -- every file fingerprint unchanged -- findings are
 reconstructed from the stored dicts without parsing a single module,
 which is what makes a warm full-repo lint land well under half the cold
 wall time.  On a partial hit, unchanged files reuse their per-module
-findings and only the project pass re-runs.  Writes are atomic
-(tmp + rename) so an interrupted lint never tears the cache.
+findings and only the project pass re-runs.  The file is a verified
+document of :mod:`repro.resilience.atomicio`, so an interrupted lint
+never tears it and a torn, edited or stale file is a cold start.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
+from repro.resilience.atomicio import (
+    CheckpointCorruptError,
+    read_document,
+    write_document,
+)
 from repro.statlint.config import LintConfig
 
-CACHE_VERSION = 1
+#: Schema of the cache document (bump when the stored layout changes).
+CACHE_SCHEMA = "repro-statlint-cache/1"
 
 _tool_fp_memo: Optional[str] = None
 
@@ -74,7 +79,7 @@ def project_fingerprint(file_fps: Mapping[str, str]) -> str:
 
 
 class LintCache:
-    """One on-disk cache file, loaded leniently and saved atomically."""
+    """One on-disk cache document, loaded leniently and saved atomically."""
 
     def __init__(self, path: Path, config: LintConfig) -> None:
         self.path = path
@@ -88,12 +93,8 @@ class LintCache:
 
     def _load(self) -> None:
         try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if not isinstance(raw, dict):
-            return
-        if raw.get("version") != CACHE_VERSION:
+            raw = read_document(self.path, CACHE_SCHEMA)
+        except CheckpointCorruptError:
             return
         if raw.get("tool") != self.tool_fp or raw.get("config") != self.config_fp:
             return
@@ -148,28 +149,12 @@ class LintCache:
     def save(self) -> None:
         """Atomically persist the cache (best effort; failures ignored)."""
         payload = {
-            "version": CACHE_VERSION,
             "tool": self.tool_fp,
             "config": self.config_fp,
             "files": self.files,
             "project": self.project,
         }
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_document(self.path, payload, CACHE_SCHEMA)
         except OSError:  # pragma: no cover - cache is best effort
             pass

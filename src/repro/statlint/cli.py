@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.resilience.atomicio import atomic_write_text
 from repro.statlint.baseline import Baseline, apply_baseline
 from repro.statlint.config import (
     LintConfig,
@@ -226,7 +227,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     report = renderers[ns.format](result, baseline)
     if ns.output:
-        Path(ns.output).write_text(report + "\n", encoding="utf-8")
+        # Plain text, no digest: a SARIF report has no place for one.
+        atomic_write_text(ns.output, report + "\n")
     else:
         print(report)
     return result.exit_code

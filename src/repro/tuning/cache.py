@@ -10,17 +10,19 @@ so every cache entry stores (and every lookup re-checks) three keys:
   module the tunable declares in ``source_modules``; editing a kernel
   re-tunes.
 
-The cache file is one :class:`~repro.artifacts.jsondoc.JsonDocumentStore`
-document (schema ``repro-tuning/1``): written with the fsync'd
-same-directory atomic writer of :mod:`repro.resilience.atomicio`
-(honouring the ``cache.enospc`` and ``cache.torn_write`` fault sites),
-so a killed tuning run -- or a full disk -- can never leave a
-half-written cache behind.  A cache that is nevertheless found truncated
-or corrupt on load (torn by an unclean writer, bit rot) is treated as
+The cache file is one verified document (schema ``repro-tuning/1``) of
+:func:`repro.resilience.atomicio.write_document`: published with the
+fsync'd same-directory atomic writer (honouring the ``cache.enospc``
+and ``cache.torn_write`` fault sites), so a killed tuning run -- or a
+full disk -- can never leave a half-written cache behind, and carrying
+a sha256 of its own contents.  A cache file that fails verification on
+load -- truncated or corrupt (torn by an unclean writer, bit rot),
+edited (a winner changed to another legal value), foreign (another
+schema), or written before documents carried a digest -- is treated as
 *missing*: every lookup misses, the affected tunables re-tune, and the
-next ``save`` atomically replaces the corrupt file with a good one.  The
-corruption is surfaced on ``load_error`` so callers can log it rather
-than silently re-tuning.
+next ``save`` atomically replaces the bad file with a good one.  The
+failure is surfaced on ``load_error`` so callers can log it rather than
+silently re-tuning.
 
 The fingerprint helpers historically defined here now live in
 :mod:`repro.artifacts.fingerprint` (they key every artifact family, not
@@ -39,7 +41,11 @@ from repro.artifacts.fingerprint import (  # noqa: F401  (re-exports)
     code_fingerprint,
     machine_fingerprint,
 )
-from repro.artifacts.jsondoc import JsonDocumentStore
+from repro.resilience.atomicio import (
+    CheckpointCorruptError,
+    read_document,
+    write_document,
+)
 from repro.tuning.registry import Tunable
 from repro.tuning.spaces import Params
 
@@ -98,17 +104,20 @@ class TuningCache:
 
     def __init__(self, path: Path = DEFAULT_CACHE_PATH) -> None:
         self.path = Path(path)
-        self._doc = JsonDocumentStore(self.path, SCHEMA, fault_prefix="cache")
         self._entries: Dict[str, CacheEntry] = {}
         #: Why the on-disk cache was unusable (None = loaded cleanly or
-        #: absent).  A truncated/corrupt file degrades to an empty cache
-        #: -- affected tunables re-tune and the next save heals the file.
+        #: absent).  A file that fails verification degrades to an empty
+        #: cache -- affected tunables re-tune and the next save heals it.
         self.load_error: Optional[str] = None
         self._load()
 
     def _load(self) -> None:
-        data, self.load_error = self._doc.load()
-        if data is None:
+        if not self.path.exists():
+            return
+        try:
+            data = read_document(self.path, SCHEMA)
+        except CheckpointCorruptError as exc:
+            self.load_error = str(exc)
             return
         for tid, raw in data.get("entries", {}).items():
             try:
@@ -123,10 +132,10 @@ class TuningCache:
         a failed write (disk full) raises ``OSError`` and leaves any
         previous cache file byte-for-byte intact.
         """
-        self._doc.save({
+        write_document(self.path, {
             "entries": {tid: e.to_dict() for tid, e in
                         sorted(self._entries.items())},
-        })
+        }, SCHEMA, fault_prefix="cache")
 
     def get(self, tunable: Tunable,
             machine: Optional[str] = None) -> Optional[CacheEntry]:

@@ -12,26 +12,38 @@ CLI does after ``--tuning-profile``) or scoped
 (:func:`active_profile` context manager, what tests use).  Because this
 module only imports :mod:`repro.tuning.defaults`, kernels can import it
 without dragging in the search machinery -- and without import cycles.
+
+A ``--tuning-profile`` file is a verified document of
+:mod:`repro.resilience.atomicio` (schema ``repro-tuning-profile/1``):
+a torn, edited or foreign file is refused, never loaded.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional
 from contextlib import contextmanager
 
+from repro.resilience.atomicio import (
+    CheckpointCorruptError,
+    read_document,
+    write_document,
+)
 from repro.tuning.defaults import DEFAULT_PARAMS, default_params
 
 Params = Dict[str, object]
+
+#: Schema of a ``--tuning-profile`` document.
+PROFILE_SCHEMA = "repro-tuning-profile/1"
 
 
 class TuningProfileError(ValueError):
     """A profile file that cannot be loaded.
 
-    Raised by :meth:`TuningProfile.load` for a missing or unreadable
-    file, a document that is not a JSON profile, and a profile naming a
-    tunable or parameter this code does not have.
+    Raised by :meth:`TuningProfile.load` for a file that fails document
+    verification (missing, torn, edited, foreign or without a digest), a
+    document that is not a profile, and a profile naming a tunable or
+    parameter this code does not have.
     """
 
 
@@ -125,12 +137,8 @@ class TuningProfile:
         )
 
     def save(self, path: Path) -> None:
-        """Write the profile as JSON (for --tuning-profile files)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Publish the profile as a verified document (--tuning-profile)."""
+        write_document(path, self.to_dict(), PROFILE_SCHEMA)
 
     @classmethod
     def load(cls, path: Path) -> "TuningProfile":
@@ -140,12 +148,9 @@ class TuningProfile:
         :class:`TuningProfileError`, with the cause chained.
         """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("not a JSON object")
-            profile = cls.from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            profile = cls.from_dict(read_document(path, PROFILE_SCHEMA))
+        except (CheckpointCorruptError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
             raise TuningProfileError(
                 f"tuning profile {path} is unusable: {exc}"
             ) from exc

@@ -1,8 +1,9 @@
 """Human- and machine-readable reports of a tuning session.
 
 ``repro tune`` prints :func:`format_report` and optionally writes
-:func:`write_report_json` (schema ``repro-tuning-report/1``) -- the
-artifact the CI ``tune-smoke`` job uploads.  The text report states, per
+:func:`write_report_json`, a verified document (schema
+``repro-tuning-report/1``) -- the artifact the CI ``tune-smoke`` job
+uploads.  The text report states, per
 tunable, whether the winner came from cache or search, whether it is
 non-default, its probe speedup over the defaults and how many candidates
 the correctness gate rejected -- so "defaults are already optimal" is a
@@ -11,11 +12,14 @@ visible, positive result, never silence.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import List
 
+from repro.resilience.atomicio import write_document
 from repro.tuning.session import SessionResult
+
+#: Schema of the machine-readable session report.
+REPORT_SCHEMA = "repro-tuning-report/1"
 
 
 def format_report(result: SessionResult) -> str:
@@ -46,10 +50,5 @@ def format_report(result: SessionResult) -> str:
 
 
 def write_report_json(result: SessionResult, path: Path) -> Path:
-    """Write the machine-readable report; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    """Publish the machine-readable report; returns the path."""
+    return write_document(path, result.to_dict(), REPORT_SCHEMA)

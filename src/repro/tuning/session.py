@@ -82,9 +82,9 @@ class SessionResult:
         return TuningProfile(overrides, source=f"tune:{self.cache_path}")
 
     def to_dict(self) -> dict:
-        """JSON-serializable session report (schema repro-tuning-report/1)."""
+        """JSON-serializable session report (the payload of
+        :func:`repro.tuning.report.write_report_json`)."""
         return {
-            "schema": "repro-tuning-report/1",
             "machine": self.machine,
             "cache_path": self.cache_path,
             "cache_hits": self.cache_hits,

@@ -1,6 +1,5 @@
 """CLI subcommand tests (invoked in-process)."""
 
-import json
 import shutil
 
 import pytest
@@ -140,6 +139,7 @@ class TestBadTuningProfile:
         assert code == 1
         assert "error:" in err and profile.name in err
         assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("cmd", sorted(COMMANDS))
     def test_truncated_profile(self, cmd, tmp_path, capsys):
@@ -160,11 +160,15 @@ class TestBadTuningProfile:
         """A profile naming a parameter this code lacks, such as the
         ``backend`` of ``lfd.nonlocal`` (the nonlocal correction runs
         on NumPy only), is refused, not silently ignored."""
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps({
+        from repro.resilience.atomicio import write_document
+        from repro.tuning.profile import PROFILE_SCHEMA
+
+        # Published with a valid digest, so only the unknown parameter
+        # can be what refuses it.
+        stale = write_document(tmp_path / "stale.json", {
             "source": "stale",
             "overrides": {"lfd.nonlocal": {"variant": "blas",
                                            "orb_block": 16,
                                            "backend": "numpy"}},
-        }))
-        self._run(capsys, cmd, stale)
+        }, PROFILE_SCHEMA)
+        assert "unknown parameter" in self._run(capsys, cmd, stale)

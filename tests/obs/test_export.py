@@ -16,6 +16,8 @@ from repro.obs import (
     phase_report,
     write_chrome_trace,
 )
+from repro.obs.export import TRACE_SCHEMA
+from repro.resilience.atomicio import CheckpointCorruptError, write_document
 
 
 def rec(name, category, start, duration, depth=0, thread=1,
@@ -132,21 +134,41 @@ class TestChromeExport:
         assert len(doc["traceEvents"]) == 2
 
     def test_load_rejects_non_trace(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps([1, 2, 3]))
+        p = write_document(tmp_path / "bad.json", {"events": [1, 2, 3]},
+                           TRACE_SCHEMA)
         with pytest.raises(ValueError):
             load_chrome_trace(p)
 
     def test_load_rejects_malformed_event(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"traceEvents": [{"name": "x"}]}))
+        p = write_document(tmp_path / "bad.json",
+                           {"traceEvents": [{"name": "x"}]}, TRACE_SCHEMA)
         with pytest.raises(ValueError):
             load_chrome_trace(p)
 
     def test_load_rejects_complete_event_without_dur(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(
-            {"traceEvents": [{"ph": "X", "pid": 1, "ts": 0.0}]}
-        ))
+        p = write_document(tmp_path / "bad.json",
+                           {"traceEvents": [{"ph": "X", "pid": 1, "ts": 0.0}]},
+                           TRACE_SCHEMA)
         with pytest.raises(ValueError):
             load_chrome_trace(p)
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "edit", "plain"])
+    def test_load_refuses_a_damaged_or_unverified_file(self, tmp_path,
+                                                       damage):
+        path = write_chrome_trace(
+            tmp_path / "t.json", [rec("a", "comm", 0.0, 1.0)]
+        )
+        raw = path.read_bytes()
+        if damage == "flip":
+            at = raw.index(b'"comm"') + 1
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])
+        elif damage == "truncate":
+            path.write_bytes(raw[: len(raw) // 2])
+        else:
+            doc = json.loads(raw)
+            doc["traceEvents"][1]["dur"] *= 2  # a legal, parseable edit
+            if damage == "plain":  # the pre-digest format
+                del doc["schema"], doc["sha256"]
+            path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointCorruptError):
+            load_chrome_trace(path)

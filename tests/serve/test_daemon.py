@@ -177,16 +177,27 @@ class TestSubmit:
     def test_oversize_jobs_rejected_at_admission(self, tmp_path):
         with serving(tmp_path) as (handle, client):
             t0 = time.monotonic()
+            oversize = [
+                ("ensemble", "ntraj", 10**12),
+                ("spectrum", "steps", 10**9),
+                ("scf", "grid", 100_000),
+                ("scf", "nscf", 10**9),
+                ("spectrum", "norb", 100_000),
+                ("run", "steps", 10**9),
+                ("run", "n_qd", 10**9),
+                ("ensemble", "nstates", 10**6),
+                ("run", "grid", -3),
+                ("spectrum", "grid", "x"),
+            ]
             responses = client.submit([
-                {"kind": "ensemble", "params": {"ntraj": 10**12}},
-                {"kind": "spectrum", "params": {"steps": 10**9}},
+                {"kind": kind, "params": {name: value}}
+                for kind, name, value in oversize
             ])
             assert time.monotonic() - t0 < 5.0
-            assert [r["status"] for r in responses] == ["error", "error"]
-            assert [r["error"]["type"] for r in responses] == \
-                ["ValueError", "ValueError"]
-            assert "ntraj" in responses[0]["error"]["message"]
-            assert "steps" in responses[1]["error"]["message"]
+            assert [r["status"] for r in responses] == ["error"] * 10
+            for (kind, name, _), r in zip(oversize, responses):
+                assert r["error"]["type"] == "ValueError"
+                assert f"{kind} {name} must be" in r["error"]["message"]
             assert handle.daemon.metrics.snapshot()["groups"] == 0
             assert client.ping()
 

@@ -6,9 +6,7 @@ import pytest
 
 from repro.artifacts import machine_fingerprint
 from repro.serve.jobs import (
-    MAX_ENSEMBLE_NSTEPS,
-    MAX_ENSEMBLE_NTRAJ,
-    MAX_SPECTRUM_STEPS,
+    _BUDGETS,
     PARAM_DEFAULTS,
     artifact_key,
     batch_key,
@@ -51,9 +49,8 @@ class TestValidate:
             validate_job({"kind": "ensemble", "params": {"ntrajs": 8}})
 
     @pytest.mark.parametrize("kind,name,budget", [
-        ("spectrum", "steps", MAX_SPECTRUM_STEPS),
-        ("ensemble", "ntraj", MAX_ENSEMBLE_NTRAJ),
-        ("ensemble", "nsteps", MAX_ENSEMBLE_NSTEPS),
+        (kind, name, budget) for kind, table in sorted(_BUDGETS.items())
+        for name, budget in sorted(table.items())
     ])
     def test_work_sizes_are_budgeted(self, kind, name, budget):
         assert validate_job({"kind": kind}).params[name] <= budget
@@ -64,9 +61,10 @@ class TestValidate:
             with pytest.raises(ValueError, match=f"{kind} {name} must be"):
                 validate_job({"kind": kind, "params": {name: value}})
 
-    def test_bad_deadline_rejected(self):
+    @pytest.mark.parametrize("deadline", [-1, 0, float("nan"), "x", [1]])
+    def test_bad_deadline_rejected(self, deadline):
         with pytest.raises(ValueError, match="deadline_s"):
-            validate_job({"kind": "scf", "deadline_s": -1})
+            validate_job({"kind": "scf", "deadline_s": deadline})
 
     def test_default_deadline_applies_when_unset(self):
         spec = validate_job({"kind": "scf"}, default_deadline_s=30.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -55,6 +56,29 @@ class TestArrayCodec:
         blob = encode_array(np.arange(4.0))
         json.dumps(blob)  # must not raise
 
+    @pytest.mark.parametrize("blob", [
+        5,                                       # not a string
+        "",                                      # no bytes at all
+        "!!!",                                   # not base64
+        "Z2FyYmFnZSBieXRlcyBoZXJl",              # base64 of garbage
+    ])
+    def test_malformed_blob_is_a_protocol_error(self, blob):
+        with pytest.raises(ProtocolError, match="malformed array blob"):
+            decode_payload({"result": [{"__npy_b64__": blob}]})
+
+    @pytest.mark.parametrize("offset, xor", [
+        (10, 0x01),  # "{" -> "z": unbalanced header (tokenize.TokenError)
+        (21, 0x10),  # "<f8" -> ",f8": unparseable dtype (SyntaxError)
+        (61, 0x10),  # shape (3,) -> (#,)
+    ])
+    def test_flipped_npy_header_is_a_protocol_error(self, offset, xor):
+        key, text = next(iter(encode_array(np.arange(3.0)).items()))
+        raw = bytearray(base64.b64decode(text))
+        raw[offset] ^= xor
+        blob = {key: base64.b64encode(bytes(raw)).decode("ascii")}
+        with pytest.raises(ProtocolError, match="malformed array blob"):
+            decode_array(blob)
+
 
 class TestPayloadCodec:
     def test_nested_round_trip(self):
@@ -105,6 +129,10 @@ class TestFraming:
             loads_line(b"[1,2,3]\n")
         with pytest.raises(ProtocolError):
             loads_line(b"\xff\xfe\n")
+        with pytest.raises(ProtocolError):
+            loads_line(b"[" * 3000 + b"\n")  # nested past the recursion limit
+        with pytest.raises(ProtocolError):
+            loads_line(b'{"n": ' + b"9" * 5000 + b"}\n")  # digit limit
 
 
 class TestResponses:

@@ -13,8 +13,12 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
+from repro.resilience.atomicio import read_document, write_document
 from repro.statlint import LintConfig, lint_paths, render_json
 from repro.statlint.cache import (
+    CACHE_SCHEMA,
     LintCache,
     config_fingerprint,
     source_fingerprint,
@@ -122,12 +126,34 @@ def test_cache_ignores_stale_tool_or_config(tmp_path):
     cache = tmp_path / "cache.json"
     report_for(root, cache_path=cache)
 
-    doc = json.loads(cache.read_text())
+    doc = read_document(cache, CACHE_SCHEMA)
     doc["tool"] = "0" * len(doc["tool"])
-    cache.write_text(json.dumps(doc))
-    # A doctored tool fingerprint must be treated as a cold start, not
-    # an error -- and the report must still match.
+    # Re-published with a valid digest, so only the stale tool
+    # fingerprint can make this a cold start -- not an error -- and
+    # the report must still match.
+    write_document(cache, doc, CACHE_SCHEMA)
     assert report_for(root, cache_path=cache) == report_for(root)
+    assert read_document(cache, CACHE_SCHEMA)["tool"] == tool_fingerprint()
+
+
+@pytest.mark.parametrize("damage", ["flip", "truncate", "edit"])
+def test_damaged_cache_is_a_cold_start_then_healed(tmp_path, damage):
+    root = make_tree(tmp_path)
+    cache = tmp_path / "cache.json"
+    want = report_for(root, cache_path=cache)
+    raw = bytearray(cache.read_bytes())
+    if damage == "flip":
+        raw[len(raw) // 2] ^= 1
+    elif damage == "truncate":
+        del raw[len(raw) // 2:]
+    else:  # drop every finding of one file, still parseable
+        doc = json.loads(raw)
+        entry = next(e for e in doc["files"].values() if e.get("findings"))
+        entry["findings"] = []
+        raw = bytearray(json.dumps(doc).encode())
+    cache.write_bytes(bytes(raw))
+    assert report_for(root, cache_path=cache) == want
+    read_document(cache, CACHE_SCHEMA)  # healed by the cold run's save
 
 
 def test_cache_fingerprints_are_stable():

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.resilience.atomicio import read_document, write_document
 from repro.tuning.cache import (
+    SCHEMA,
     TuningCache,
     code_fingerprint,
     machine_fingerprint,
@@ -65,12 +67,46 @@ class TestRoundTrip:
     def test_corrupt_file_is_treated_as_empty(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{not json")
-        assert len(TuningCache(path)) == 0
+        cache = TuningCache(path)
+        assert len(cache) == 0
+        assert "unreadable" in cache.load_error
 
     def test_wrong_schema_ignored(self, tmp_path):
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"schema": "other/9", "entries": {}}))
-        assert len(TuningCache(path)) == 0
+        write_document(path, {"entries": {}}, "other/9")
+        cache = TuningCache(path)
+        assert len(cache) == 0
+        assert "schema" in cache.load_error
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "edit"])
+    def test_damaged_file_is_empty_with_error_then_healed(self, tmp_path,
+                                                          damage):
+        path = tmp_path / "cache.json"
+        cache = TuningCache(path)
+        t = make_tunable()
+        cache.put(t, {"algo": "b"}, speedup=1.5, strategy="exhaustive",
+                  gate_error=0.0)
+        cache.save()
+        raw = path.read_bytes()
+        if damage == "flip":
+            at = raw.index(b'"b"') + 1
+            raw = raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+        elif damage == "truncate":
+            raw = raw[: len(raw) // 2]
+        else:  # the other legal winner, still parseable: not served
+            doc = json.loads(raw)
+            doc["entries"]["fake.cached"]["params"]["algo"] = "a"
+            raw = json.dumps(doc).encode()
+        path.write_bytes(raw)
+        damaged = TuningCache(path)
+        assert len(damaged) == 0 and damaged.get(t) is None
+        assert damaged.load_error
+        damaged.put(t, {"algo": "b"}, speedup=1.5, strategy="exhaustive",
+                    gate_error=0.0)
+        damaged.save()
+        healed = TuningCache(path)
+        assert healed.load_error is None
+        assert healed.get(t).params == {"algo": "b"}
 
     def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -80,7 +116,7 @@ class TestRoundTrip:
         cache.save()
         leftovers = [p for p in tmp_path.iterdir() if p.name != "cache.json"]
         assert leftovers == []
-        json.load(open(path))  # valid JSON on disk
+        read_document(path, SCHEMA)  # a verified document on disk
 
 
 class TestInvalidation:

@@ -1,10 +1,13 @@
 """TuningProfile resolution and its pickup by the wired kernels."""
 
+import json
+
 import pytest
 
 from repro.tuning.defaults import DEFAULT_PARAMS, default_params
 from repro.tuning.profile import (
     TuningProfile,
+    TuningProfileError,
     active_profile,
     get_active_profile,
     resolve,
@@ -58,6 +61,23 @@ class TestResolution:
         q = TuningProfile.load(path)
         assert q == p
         assert str(path) in q.source
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "edit"])
+    def test_damaged_file_is_refused(self, tmp_path, damage):
+        path = tmp_path / "profile.json"
+        TuningProfile({"lfd.kin_prop": {"variant": "blocked"}}).save(path)
+        raw = path.read_bytes()
+        if damage == "flip":
+            raw = raw.replace(b"blocked", b"blockee")
+        elif damage == "truncate":
+            raw = raw[: len(raw) // 2]
+        else:  # another legal variant, still parseable
+            doc = json.loads(raw)
+            doc["overrides"]["lfd.kin_prop"]["variant"] = "baseline"
+            raw = json.dumps(doc).encode()
+        path.write_bytes(raw)
+        with pytest.raises(TuningProfileError, match="unusable"):
+            TuningProfile.load(path)
 
 
 class TestActiveProfile:

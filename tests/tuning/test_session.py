@@ -3,10 +3,16 @@
 import json
 
 import numpy as np
+import pytest
 
+from repro.resilience.atomicio import CheckpointCorruptError, read_document
 from repro.tuning.cache import TuningCache
 from repro.tuning.registry import Tunable, TunableRegistry
-from repro.tuning.report import format_report, write_report_json
+from repro.tuning.report import (
+    REPORT_SCHEMA,
+    format_report,
+    write_report_json,
+)
 from repro.tuning.session import TuningSession
 from repro.tuning.spaces import Choice, ParamSpace
 
@@ -129,3 +135,25 @@ class TestReport:
         assert data["tuned"] == 1
         assert data["records"][0]["tunable_id"] == "fake.one"
         assert data["records"][0]["outcome"]["gate_tol"] == 1e-12
+        assert read_document(path, REPORT_SCHEMA) == res.to_dict()
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "edit"])
+    def test_damaged_json_report_is_refused(self, tmp_path, damage):
+        clock = FakeClock()
+        session = TuningSession(cache=TuningCache(tmp_path / "c.json"),
+                                registry=make_registry(clock))
+        path = write_report_json(session.run(clock=clock),
+                                 tmp_path / "report.json")
+        raw = path.read_bytes()
+        if damage == "flip":
+            at = raw.index(b'"tuned":1') + len(b'"tuned":')
+            raw = raw[:at] + b"0" + raw[at + 1:]
+        elif damage == "truncate":
+            raw = raw[: len(raw) // 2]
+        else:
+            doc = json.loads(raw)
+            doc["total_trials"] += 1
+            raw = json.dumps(doc).encode()
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointCorruptError):
+            read_document(path, REPORT_SCHEMA)
