@@ -450,6 +450,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import BatchPolicy, ServeConfig, ServeDaemon
+    from repro.serve.jobs import DEFAULT_DEADLINE_S
     from repro.serve.scheduler import ARRIVAL_GAP_S
 
     config = ServeConfig(
@@ -463,7 +464,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         pool_entries=args.pool_entries,
         pool_max_bytes=args.pool_max_bytes,
-        default_deadline_s=args.deadline,
+        default_deadline_s=(DEFAULT_DEADLINE_S if args.deadline is None
+                            else args.deadline),
         max_retries=args.max_retries,
     )
     daemon = ServeDaemon(config)
@@ -780,11 +782,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded admission queue depth (beyond it, "
                             "jobs are shed with a typed ServerBusy)")
     serve.add_argument("--pool-entries", type=int, default=8,
-                       help="warm-state pool entry cap (LRU)")
+                       help="warm-state pool entry cap (LRU), per lane")
     serve.add_argument("--pool-max-bytes", type=int, default=None,
-                       help="warm-state pool byte budget (LRU)")
+                       help="warm-state pool byte budget (LRU), per lane")
     serve.add_argument("--deadline", type=float, default=None,
-                       help="default per-job wall-clock budget in seconds")
+                       help="per-job wall-clock budget in seconds of a job "
+                            "that names none (default: "
+                            "repro.serve.jobs.DEFAULT_DEADLINE_S, 300)")
     serve.add_argument("--max-retries", type=int, default=1,
                        help="supervisor retries per job segment")
     serve.set_defaults(func=_cmd_serve)

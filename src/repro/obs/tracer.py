@@ -184,6 +184,25 @@ class Tracer:
             with self._lock:
                 self.counters.add("untraced", flops, bytes_moved)
 
+    def adopt(self, records: List[SpanRecord], epoch: float,
+              **tags: object) -> None:
+        """Merge spans recorded by another tracer (say, a worker process's).
+
+        ``epoch`` is that tracer's epoch read on this tracer's clock
+        (``perf_counter`` is one system-wide monotonic clock on Linux,
+        so a worker's epoch is comparable as it is).  Each record is
+        rebased onto this tracer's epoch and its ``args`` gain ``tags``.
+        """
+        shift = epoch - self.epoch
+        with self._lock:
+            for record in records:
+                record.start += shift
+                record.args.update(tags)
+                self.records.append(record)
+                if record.flops or record.bytes_moved:
+                    self.counters.add(record.name, record.flops,
+                                      record.bytes_moved)
+
     # ------------------------------------------------------------------ #
     def total(self, name: str) -> float:
         """Summed duration of all finished spans with this name."""

@@ -70,6 +70,11 @@ from repro.parallel.executor import (
 )
 from repro.resilience.faults import fault_point
 from repro.resilience.liveness import DeadlineExceeded, check_deadline
+from repro.tuning.profile import (
+    TuningProfile,
+    get_active_profile,
+    set_active_profile,
+)
 
 #: Worker heartbeat cadence while servicing an injected slow-down.
 _SLOW_BEAT_S = 0.05
@@ -137,6 +142,11 @@ def _run_chunk(
     finally:
         if board is not None:
             board.close()
+
+
+def _adopt_profile(profile: Dict[str, Any]) -> None:
+    """Pool initializer: install the parent's tuning profile."""
+    set_active_profile(TuningProfile.from_dict(profile))
 
 
 def _worker_suicide() -> None:
@@ -281,11 +291,17 @@ class ProcessBackend(DomainExecutor):
 
     # ------------------------------------------------------------------ #
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Lazily start the spawn-context pool at ``live_workers`` size."""
+        """Lazily start the spawn-context pool at ``live_workers`` size.
+
+        Workers start under the caller's active tuning profile (a spawn
+        worker would otherwise hold the built-in defaults).
+        """
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.live_workers,
                 mp_context=get_context("spawn"),
+                initializer=_adopt_profile,
+                initargs=(get_active_profile().to_dict(),),
             )
         return self._pool
 

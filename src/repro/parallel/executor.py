@@ -56,7 +56,8 @@ BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
 
 
 class WorkerCrashError(RankFailure):
-    """A process-backend map lost workers beyond its retry budget.
+    """A process-backend map lost workers beyond its retry budget, or an
+    owned worker (:mod:`repro.parallel.owned`) died during a call.
 
     "Lost" covers both hard crashes (SIGKILL, OOM) and wedged workers
     the heartbeat watchdog terminated -- hangs heal, and escalate,
@@ -70,11 +71,12 @@ class WorkerCrashError(RankFailure):
     process, never pickled across a pool boundary.
     """
 
-    def __init__(self, label: str, crashes: int, survivors: int) -> None:
+    def __init__(self, label: str, crashes: int, survivors: int,
+                 message: Optional[str] = None) -> None:
         RuntimeError.__init__(
             self,
-            f"process backend lost workers {crashes} time(s) during map "
-            f"{label!r}; {survivors} worker(s) surviving",
+            message or f"process backend lost workers {crashes} time(s) "
+            f"during map {label!r}; {survivors} worker(s) surviving",
         )
         self.rank = -1
         self.op = f"executor.map({label!r})"

@@ -22,6 +22,7 @@ Three keys derive from a validated spec:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -104,6 +105,13 @@ MAX_SPECTRUM_STEPS = 20_000
 MAX_ENSEMBLE_NTRAJ = 4_096
 MAX_ENSEMBLE_NSTEPS = 5_000
 
+#: Wall-clock budget, in seconds, of a job that names none (or null).
+#: The longest job the CLI defaults, examples, tests, CI, bench_serve
+#: and perfbench send takes a few seconds (serve_mixed's longest about
+#: 0.3 s); the daemon kills a lane whose group outlives its budget by a
+#: fixed grace, so every admitted job is bounded.
+DEFAULT_DEADLINE_S = 300.0
+
 #: Budgeted integer parameters, per kind.
 _BUDGETS: Dict[str, Dict[str, int]] = {
     "run": {"grid": 128, "steps": 10_000, "n_qd": 10_000,
@@ -125,7 +133,7 @@ class JobSpec:
     kind: str
     params: Dict[str, Any]
     job_id: str
-    deadline_s: Optional[float] = None
+    deadline_s: float = DEFAULT_DEADLINE_S
     memoize: bool = True
     enqueued_at: float = field(default=0.0, compare=False)
 
@@ -136,13 +144,15 @@ class JobSpec:
 
 
 def validate_job(raw: Mapping[str, Any],
-                 default_deadline_s: Optional[float] = None) -> JobSpec:
+                 default_deadline_s: float = DEFAULT_DEADLINE_S) -> JobSpec:
     """Check and canonicalize one raw job dict into a :class:`JobSpec`.
 
     Unknown kinds and unknown parameter names raise ``ValueError`` (a
     typo must not silently become a default-parameter run), and so does
     a budgeted size (:data:`MAX_SPECTRUM_STEPS`, ...) that is not an
-    integer in ``[1, budget]``.
+    integer in ``[1, budget]``, or a ``deadline_s`` that is not a
+    positive finite number.  An omitted or null ``deadline_s`` takes
+    ``default_deadline_s``.
     """
     kind = raw.get("kind")
     if kind not in JOB_KINDS:
@@ -169,16 +179,19 @@ def validate_job(raw: Mapping[str, Any],
                 f"{kind} {name} must be an integer in [1, {budget}], "
                 f"got {value!r}"
             )
-    deadline = raw.get("deadline_s", default_deadline_s)
-    if deadline is not None:
-        try:
-            deadline = float(deadline)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"deadline_s must be a number, got {deadline!r}"
-            ) from exc
-        if not deadline > 0:  # also refuses NaN
-            raise ValueError("deadline_s must be positive (or null)")
+    deadline = raw.get("deadline_s")
+    if deadline is None:
+        deadline = default_deadline_s
+    try:
+        deadline = float(deadline)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"deadline_s must be a number, got {deadline!r}"
+        ) from exc
+    if not 0 < deadline < math.inf:  # also refuses NaN
+        raise ValueError(
+            "deadline_s must be positive and finite (or null for the "
+            f"default {default_deadline_s:g} s), got {deadline!r}")
     job_id = str(raw.get("id") or f"job-{next(_JOB_COUNTER)}")
     return JobSpec(
         kind=str(kind),

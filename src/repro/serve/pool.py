@@ -1,4 +1,5 @@
-"""Warm-state pool: LRU reuse of converged ground-state stages.
+"""Warm-state pool: LRU reuse of converged ground-state stages, one pool
+per serving lane.
 
 The pool memoizes converged stages in memory under their *full*
 ground-state parameter key (:func:`repro.serve.jobs.warm_key`), so a
@@ -17,9 +18,15 @@ recorded prefix takes ~0.1 ms.
 Bounded two ways: an entry-count cap and an optional byte budget
 (entries report their own footprint via a caller-supplied ``nbytes``).
 Eviction is least-recently-used.  ``invalidate()`` supports the
-protocol's explicit cache-drop operation.  All methods are thread-safe:
-the daemon's worker threads and the event loop's stats handler share
-the pool.
+protocol's explicit cache-drop operation.
+
+Each lane of the daemon (:mod:`repro.serve.daemon`) owns one pool, so
+``pool_entries`` and the byte budget are per lane.  The daemon sends
+every group that reads or builds a key to the lane that first built it,
+so a key lives in one pool and only its lane touches it; the daemon
+reads pool counts from what each lane reports after a group.  The
+methods are thread-safe all the same, for a pool shared by threads
+outside the daemon.
 """
 
 from __future__ import annotations

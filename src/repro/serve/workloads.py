@@ -56,8 +56,8 @@ class _PropagationRecord:
     """
 
     def __init__(self) -> None:
-        # In the daemon only its single worker thread extends a pooled
-        # record; the lock keeps any other concurrent caller exact too.
+        # In the daemon only the lane that owns a pooled record extends
+        # it; the lock keeps any other concurrent caller exact too.
         self._lock = threading.Lock()
         self._prop: Any = None
         self._times: List[float] = []

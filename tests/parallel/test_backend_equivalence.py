@@ -105,6 +105,52 @@ class TestTrajectoryEquivalence:
         _assert_signatures(serial_signature, sig, atol=0.0)
 
 
+#: Kernel variants whose roundoff differs from the defaults'.
+TUNED = {"lfd.kin_prop": {"variant": "baseline"},
+         "lfd.nonlocal": {"variant": "naive"}}
+
+
+def _tuned_run(executor, profile) -> dict:
+    """Two steps of the ``run`` job system (12^3, n_qd=5) under ``profile``."""
+    from repro.device import VirtualGPU
+    from repro.serve import validate_job, workloads
+    from repro.tuning.profile import active_profile
+
+    params = validate_job({"kind": "run",
+                           "params": {"grid": 12, "n_qd": 5}}).params
+    grid, positions, species, laser, config = workloads.run_system(params)
+    with active_profile(profile):
+        sim = DCMESHSimulation(grid, (2, 1, 1), positions, species,
+                               laser=laser, config=config,
+                               device=VirtualGPU(), buffer_width=3,
+                               executor=executor)
+        records = sim.run(2)
+    return {
+        "band_energy": np.array([r.band_energy for r in records]),
+        "occupations": np.concatenate([s.occupations for s in sim.dc.states]),
+    }
+
+
+class TestTuningProfileReachesWorkers:
+    def test_process_workers_run_the_active_profile(self):
+        """Process workers run their LFD tasks under the caller's profile,
+        so the tuned roundoff is the same on serial and process."""
+        from repro.tuning.profile import TuningProfile
+
+        profile = TuningProfile(TUNED, source="test")
+        with SerialBackend(seed=3) as ex:
+            serial = _tuned_run(ex, profile)
+        with SerialBackend(seed=3) as ex:
+            default = _tuned_run(ex, TuningProfile.default())
+        with ProcessBackend(workers=2, seed=3) as ex:
+            process = _tuned_run(ex, profile)
+        # The profile changes bits, so the comparison below can tell.
+        assert any(serial[k].tobytes() != default[k].tobytes()
+                   for k in serial)
+        for key, want in serial.items():
+            assert process[key].tobytes() == want.tobytes(), key
+
+
 def _distributed_solve(executor=None, nranks=2):
     grid = Grid3D((12, 12, 12), (0.6,) * 3)
     L = grid.lengths[0]

@@ -8,20 +8,27 @@ the same workload one-shot (the CLI bodies call the same
 ``repro.serve.workloads`` functions compared against here).  Every
 comparison below is ``np.array_equal`` on the raw float64 arrays, which
 is stricter than the <=1e-12 the issue asks for.
+
+Every test runs twice on a two-lane daemon: once on lane 0, the
+daemon's own thread, and once on lane 1, a separate process (lane 0 is
+held inside one gated job, so every other group goes to lane 1).
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import repro.serve.daemon as daemon_module
 from repro.ensemble import EnsembleConfig, run_ensemble
 from repro.serve import BatchPolicy, DaemonHandle, ServeClient, ServeConfig
 from repro.serve import workloads
 from repro.serve.jobs import validate_job
+from tests.serve.test_lanes import occupy_lane0
 
 ENS = {"ntraj": 6, "nsteps": 20, "nstates": 3, "coupling": 0.3,
        "batch_size": 4}
@@ -30,8 +37,8 @@ SPECT = {"grid": 8, "norb": 2, "steps": 30}
 RUN = {"grid": 12, "steps": 2, "n_qd": 3, "nscf": 1, "ncg": 2}
 
 
-@pytest.fixture(scope="module")
-def served(tmp_path_factory):
+@pytest.fixture(scope="module", params=[0, 1], ids=["lane0", "lane1"])
+def served(request, tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-diff")
     config = ServeConfig(
         socket_path=root / "serve.sock",
@@ -39,8 +46,19 @@ def served(tmp_path_factory):
         scratch_root=root / "scratch",
         policy=BatchPolicy(max_batch=8),
     )
-    with DaemonHandle(config) as handle:
-        yield handle, ServeClient(config.socket_path, timeout_s=300)
+    lane_count = daemon_module.lane_count
+    daemon_module.lane_count = lambda: 2
+    try:
+        with DaemonHandle(config) as handle:
+            client = ServeClient(config.socket_path, timeout_s=300)
+            with contextlib.ExitStack() as stack:
+                if request.param == 1:
+                    stack.enter_context(occupy_lane0(client))
+                handle.lane = request.param
+                yield handle, client
+            assert handle.daemon.stats()["lanes"][request.param]["groups"]
+    finally:
+        daemon_module.lane_count = lane_count
 
 
 def canonical(kind, params):
@@ -166,19 +184,12 @@ class TestSpectrum:
         # 20 steps, the one step the expired job recorded, then 19 more.
         assert qd_steps(handle) - before == 40
 
-    def test_failed_step_resets_the_record(self, served, monkeypatch):
+    def test_failed_step_resets_the_record(self, served):
         """An exception inside a QD step discards the half-stepped
         orbitals: the next job restarts from the pre-kick state."""
-        import repro.lfd.propagator as propagator
-
-        _, client = served
+        handle, client = served
         client.submit([spectrum_job(43, 20)])
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("injected kinetic failure")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(propagator, "kinetic_step", broken)
+        with kinetic_broken(handle.daemon._lanes[handle.lane]):
             failed = client.submit([spectrum_job(43, 50)])[0]
         assert failed["status"] == "error"
         assert failed["error"]["type"] == "RuntimeError"
@@ -225,6 +236,38 @@ class TestSpectrum:
             assert_payloads_bitwise_equal(got, want[steps])
 
 
+def _broken_kinetic(*args, **kwargs):
+    raise RuntimeError("injected kinetic failure")
+
+
+_SAVED: dict = {}
+
+
+def _break_kinetic():
+    """Swap the kinetic kernel for a failing one (in whichever process)."""
+    import repro.lfd.propagator as propagator
+
+    _SAVED["kinetic_step"] = propagator.kinetic_step
+    propagator.kinetic_step = _broken_kinetic
+
+
+def _restore_kinetic():
+    import repro.lfd.propagator as propagator
+
+    propagator.kinetic_step = _SAVED.pop("kinetic_step")
+
+
+@contextlib.contextmanager
+def kinetic_broken(lane):
+    """Fail every kinetic step of ``lane``: this process's, or its worker's."""
+    call = (lambda fn: fn()) if lane.worker is None else lane.worker.call
+    call(_break_kinetic)
+    try:
+        yield
+    finally:
+        call(_restore_kinetic)
+
+
 def spectrum_job(seed, steps):
     """An unmemoized spectrum job, so every answer is computed."""
     return {"kind": "spectrum", "memoize": False,
@@ -239,7 +282,7 @@ def spectrum_reference(seed, steps):
 
 
 def qd_steps(handle):
-    return handle.daemon.metrics.snapshot()["spectrum_qd_steps"]
+    return handle.daemon.stats()["metrics"]["spectrum_qd_steps"]
 
 
 class TestRun:

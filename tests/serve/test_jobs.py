@@ -7,6 +7,7 @@ import pytest
 from repro.artifacts import machine_fingerprint
 from repro.serve.jobs import (
     _BUDGETS,
+    DEFAULT_DEADLINE_S,
     PARAM_DEFAULTS,
     artifact_key,
     batch_key,
@@ -23,7 +24,7 @@ class TestValidate:
         spec = validate_job({"kind": "ensemble"})
         assert spec.params == PARAM_DEFAULTS["ensemble"]
         assert spec.memoize is True
-        assert spec.deadline_s is None
+        assert spec.deadline_s == DEFAULT_DEADLINE_S
 
     def test_explicit_params_override(self):
         spec = validate_job(
@@ -61,7 +62,8 @@ class TestValidate:
             with pytest.raises(ValueError, match=f"{kind} {name} must be"):
                 validate_job({"kind": kind, "params": {name: value}})
 
-    @pytest.mark.parametrize("deadline", [-1, 0, float("nan"), "x", [1]])
+    @pytest.mark.parametrize("deadline", [-1, 0, float("nan"), float("inf"),
+                                          "x", [1]])
     def test_bad_deadline_rejected(self, deadline):
         with pytest.raises(ValueError, match="deadline_s"):
             validate_job({"kind": "scf", "deadline_s": deadline})
@@ -72,6 +74,9 @@ class TestValidate:
         spec = validate_job({"kind": "scf", "deadline_s": 5},
                             default_deadline_s=30.0)
         assert spec.deadline_s == 5.0
+        spec = validate_job({"kind": "scf", "deadline_s": None},
+                            default_deadline_s=30.0)
+        assert spec.deadline_s == 30.0
 
     def test_job_ids_unique_when_omitted(self):
         a = validate_job({"kind": "scf"})
