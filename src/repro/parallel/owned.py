@@ -20,11 +20,17 @@ their module's globals, and later calls read it back.
   call raises :class:`~repro.parallel.executor.WorkerCrashError`.  The
   state died with it: the next call starts a replacement, which begins
   empty (as does a call after a death between calls, with no error).
+* **Liveness.**  Each worker shares a :class:`Lease` with its owner:
+  an instant the worker's calls extend (:func:`worker_lease`) and the
+  owner reads without a round trip, so a watchdog in the owner can
+  tell a slow call that keeps renewing from a hung one.
 * **Lifetime.**  The worker holds the read end of a pipe only its
   parent can write to; when the parent exits, however it exits, the
   pipe closes and the worker ends within milliseconds, even mid-call.
-  It ignores SIGINT, so a terminal's Ctrl-C reaches only its owner,
-  which decides when the worker goes (:meth:`~OwnedWorker.close`).
+  It ignores SIGINT and SIGTERM, so a terminal's Ctrl-C or a signal to
+  the owner's whole process group (a service manager stopping it)
+  reaches only its owner, which decides when the worker goes
+  (:meth:`~OwnedWorker.close`).
 
 No resource tracker or fork server runs beside it: the worker is the
 only process a start creates, and :meth:`~OwnedWorker.close` (or the
@@ -33,12 +39,16 @@ caller's death) is the only way it ends.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import signal
+import struct
 import subprocess
 import sys
+import tempfile
 import threading
+import weakref
 from multiprocessing.connection import Connection
 from typing import Any, Callable, List, Optional
 
@@ -46,6 +56,48 @@ from repro.parallel.executor import WorkerCrashError
 
 #: The worker's entry point, run by ``python -c``.
 _BOOT = "from repro.parallel.owned import _worker_main; _worker_main()"
+
+#: Seconds a starting worker may take to answer its start message.
+_START_TIMEOUT_S = 60.0
+
+#: Seconds :meth:`OwnedWorker.close` waits for the worker to exit
+#: before it kills it.
+_CLOSE_TIMEOUT_S = 10.0
+
+
+class Lease:
+    """An instant on ``time.monotonic()``'s clock, in one shared page.
+
+    The clock is the host's, so a lease one process extends another can
+    compare with its own ``time.monotonic()``.  One aligned 8-byte
+    store writes it.  Made without ``fd`` it is backed by an unlinked
+    temporary file, open (for a worker to map) until the lease is
+    collected.
+    """
+
+    def __init__(self, fd: Optional[int] = None) -> None:
+        if fd is None:
+            with tempfile.TemporaryFile() as backing:
+                fd = os.dup(backing.fileno())
+            weakref.finalize(self, os.close, fd)
+            os.ftruncate(fd, 8)
+        self.fd = fd
+        self._page = mmap.mmap(fd, 8)
+
+    @property
+    def until(self) -> float:
+        """The instant the lease runs to."""
+        value: float = struct.unpack_from("d", self._page)[0]
+        return value
+
+    def set(self, until: float) -> None:
+        """Make the lease run to ``until``."""
+        struct.pack_into("d", self._page, 0, until)
+
+    def extend(self, until: float) -> None:
+        """Make the lease run to ``until`` if that is later."""
+        if until > self.until:
+            self.set(until)
 
 
 class OwnedWorker:
@@ -55,6 +107,8 @@ class OwnedWorker:
         self.name = name
         #: Replacements started after a death.
         self.restarts = 0
+        #: The lease every process of this worker extends.
+        self.lease = Lease()
         self._proc: Optional["subprocess.Popen[bytes]"] = None
         self._calls: Optional[Connection] = None
         self._replies: Optional[Connection] = None
@@ -75,10 +129,10 @@ class OwnedWorker:
         proc = self._proc
         return proc is not None and proc.poll() is None
 
-    def start(self, timeout_s: float = 60.0) -> "OwnedWorker":
+    def start(self) -> "OwnedWorker":
         """Spawn the worker and wait for its handshake (idempotent)."""
         with self._lock:
-            self._start_locked(timeout_s)
+            self._start_locked()
         return self
 
     def call(self, fn: Callable[..., Any], *args: Any,
@@ -89,7 +143,7 @@ class OwnedWorker:
         worker died before answering (a later call gets a fresh worker).
         """
         with self._lock:
-            self._start_locked(60.0)
+            self._start_locked()
             assert self._calls is not None and self._replies is not None
             try:
                 self._calls.send(("call", fn, args, kwargs))
@@ -112,11 +166,11 @@ class OwnedWorker:
             except ProcessLookupError:
                 pass
 
-    def close(self, timeout_s: float = 10.0) -> None:
+    def close(self) -> None:
         """Let the worker exit (waiting for a call in flight), and reap it.
 
-        A worker that has not exited ``timeout_s`` after its pipes
-        closed is killed.
+        A worker that has not exited :data:`_CLOSE_TIMEOUT_S` after its
+        pipes closed is killed.
         """
         with self._lock:
             proc = self._proc
@@ -125,13 +179,13 @@ class OwnedWorker:
         if proc is None:
             return
         try:
-            proc.wait(timeout=timeout_s)
+            proc.wait(timeout=_CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
 
     # ------------------------------------------------------------------ #
-    def _start_locked(self, timeout_s: float) -> None:
+    def _start_locked(self) -> None:
         if self._proc is not None:
             if self._proc.poll() is None:
                 return
@@ -140,10 +194,11 @@ class OwnedWorker:
         replies_r, replies_w = os.pipe()
         life_r, life_w = os.pipe()
         child_fds = (calls_r, replies_w, life_r)
+        passed = child_fds + (self.lease.fd,)  # the lease stays open here
         try:
             self._proc = subprocess.Popen(
-                [sys.executable, "-c", _BOOT, *map(str, child_fds)],
-                pass_fds=child_fds, stdin=subprocess.DEVNULL,
+                [sys.executable, "-c", _BOOT, *map(str, passed)],
+                pass_fds=passed, stdin=subprocess.DEVNULL,
                 env=_child_env(),
             )
         except BaseException:
@@ -163,10 +218,10 @@ class OwnedWorker:
 
         try:
             self._calls.send(("start", get_active_profile().to_dict()))
-            if not self._replies.poll(timeout_s):
+            if not self._replies.poll(_START_TIMEOUT_S):
                 raise TimeoutError(
                     f"owned worker {self.name!r} did not start in "
-                    f"{timeout_s:g} s")
+                    f"{_START_TIMEOUT_S:g} s")
             self._replies.recv()
         except (EOFError, OSError, TimeoutError) as exc:
             raise self._crashed_locked("while starting") from exc
@@ -214,6 +269,15 @@ def _child_env() -> dict:
 # ---------------------------------------------------------------------- #
 # worker side
 # ---------------------------------------------------------------------- #
+#: This worker's lease (set in a worker process only).
+_LEASE: Optional[Lease] = None
+
+
+def worker_lease() -> Optional[Lease]:
+    """The lease this worker process's owner reads; None outside a worker."""
+    return _LEASE
+
+
 def _watch_lifeline(fd: int) -> None:
     """End the worker when the parent's end of the lifeline closes."""
     try:
@@ -225,8 +289,11 @@ def _watch_lifeline(fd: int) -> None:
 
 def _worker_main() -> None:
     """Serve calls until the parent closes the pipe (or dies)."""
-    calls_fd, replies_fd, life_fd = map(int, sys.argv[1:4])
+    global _LEASE
+    calls_fd, replies_fd, life_fd, lease_fd = map(int, sys.argv[1:5])
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    _LEASE = Lease(lease_fd)
     threading.Thread(target=_watch_lifeline, args=(life_fd,),
                      daemon=True, name="owned-lifeline").start()
     calls = Connection(calls_fd, writable=False)

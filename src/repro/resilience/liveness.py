@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 
 class DeadlineExceeded(RuntimeError):
@@ -88,6 +88,28 @@ class Deadline:
 _SCOPES: List[Deadline] = []
 
 
+#: Callables told, as each deadline scope arms, the ``time.monotonic()``
+#: instant it expires (a watchdog's lease renewals); empty -- the common
+#: case -- costs one truthiness check per armed scope.
+_WATCHERS: List[Callable[[float], None]] = []
+
+
+@contextmanager
+def watching_deadlines(watcher: Callable[[float], None]) -> Iterator[None]:
+    """Call ``watcher(expires_at)`` as each deadline scope in the block arms.
+
+    Every armed scope promises that its block finishes, or raises
+    :class:`DeadlineExceeded` at its next check, by ``expires_at``; a
+    watchdog that extends a lease to each such instant can tell work
+    that keeps arming fresh budgets from work that is hung.
+    """
+    _WATCHERS.append(watcher)
+    try:
+        yield
+    finally:
+        _WATCHERS.remove(watcher)
+
+
 def active_deadline() -> Optional[Deadline]:
     """The innermost armed deadline, or None (the common case)."""
     if not _SCOPES:
@@ -125,6 +147,8 @@ def deadline_scope(
     scope = Deadline(budget_s, where)
     _SCOPES.append(scope)
     try:
+        for watcher in _WATCHERS:
+            watcher(scope.t0 + scope.budget_s)
         yield scope
     finally:
         _SCOPES.remove(scope)

@@ -45,21 +45,26 @@ only the steps its ground state has not recorded yet; the
 
 Failures.  Every job carries a finite deadline
 (:data:`~repro.serve.jobs.DEFAULT_DEADLINE_S` unless it names one),
-checked cooperatively inside the lane.  A group still running
-:data:`HANG_GRACE_S` past the sum of its jobs' deadlines is hung: its
-jobs are answered ``DeadlineExceeded``, and a lane process is killed.
-A thread cannot be killed, so lane 0 stays busy until its group
-returns.  A lane process that dies answers its group's jobs with a
-typed ``WorkerCrashError``; its routes are dropped, and the next start
-gives an empty replacement.
+checked cooperatively inside the lane.  A lane holds a *lease* while it
+computes a group: at dispatch it runs to the sum of the group's
+deadlines, and every deadline scope the lane arms (a supervisor
+segment or ensemble round, a retry's relaxed budget, an scf solve, a
+spectrum extension) extends it to that scope's expiry.  A lane still
+busy :data:`HANG_GRACE_S` past its lease is hung: its group's jobs are
+answered ``DeadlineExceeded``, and a lane process is killed.  A thread
+cannot be killed, so lane 0 stays busy until its group returns.  A
+lane process that dies answers its group's jobs with a typed
+``WorkerCrashError``; its routes are dropped, and the next start gives
+an empty replacement.
 
 ``stats`` reports ``metrics`` and ``pool`` summed over lanes, plus a
 ``lanes`` list (pid, status, groups, busy seconds, pool counts and the
 lane's peak resident set, VmHWM).  ``invalidate`` reaches every started
-lane.  While a tracer is installed in the daemon's process, lane 0
-records into it directly, and a lane process returns its spans with
-each group result, rebased onto that tracer's epoch and tagged
-``lane``.
+lane: lane 0's thread-safe pool from the io thread, at once, and a lane
+process's pool on its lane thread, after the group in flight.  While a
+tracer is installed in the daemon's process, lane 0 records into it
+directly, and a lane process returns its spans with each group result,
+rebased onto that tracer's epoch and tagged ``lane``.
 
 A request line longer than the stream limit (asyncio's 64 KiB) cannot
 be framed: it gets a typed ``ProtocolError`` response and the
@@ -98,8 +103,12 @@ from repro.ensemble.engine import (
 )
 from repro.obs import SpanRecord, get_tracer, trace_span, tracing
 from repro.parallel.executor import WorkerCrashError
-from repro.parallel.owned import OwnedWorker
-from repro.resilience.liveness import DeadlineExceeded, deadline_scope
+from repro.parallel.owned import Lease, OwnedWorker, worker_lease
+from repro.resilience.liveness import (
+    DeadlineExceeded,
+    deadline_scope,
+    watching_deadlines,
+)
 from repro.serve import workloads
 from repro.serve.jobs import (
     DEFAULT_DEADLINE_S,
@@ -126,9 +135,9 @@ from repro.serve.scheduler import ARRIVAL_GAP_S, BatchPolicy, group_jobs
 
 _SENTINEL: Any = object()
 
-#: Seconds a group may run past the sum of its jobs' deadlines before
-#: its lane is deemed hung.  Deadlines are checked between steps, so a
-#: healthy lane answers ``DeadlineExceeded`` well inside this grace.
+#: Seconds a lane may compute past its lease before it is deemed hung.
+#: Deadlines are checked between steps, so a healthy lane raises
+#: ``DeadlineExceeded``, or arms its next budget, well inside this grace.
 HANG_GRACE_S = 30.0
 
 #: Warm keys the router remembers (least recently dispatched go first;
@@ -257,10 +266,14 @@ class GroupOutcome:
 
 
 class LaneState:
-    """What one lane owns for its whole life: its warm pool and scratch."""
+    """What one lane owns for its whole life: its warm pool and scratch.
 
-    def __init__(self, config: LaneConfig) -> None:
+    Each deadline scope a group arms extends ``lease`` to its expiry.
+    """
+
+    def __init__(self, config: LaneConfig, lease: Lease) -> None:
         self.config = config
+        self.lease = lease
         self.pool = WarmStatePool(max_entries=config.pool_entries,
                                   max_bytes=config.pool_max_bytes)
         self.scratch = pathlib.Path(config.scratch_root) / f"lane{config.index}"
@@ -274,8 +287,9 @@ class LaneState:
         with trace_span("serve.group", "serve", kind=kind, jobs=len(specs),
                         lane=self.config.index):
             try:
-                for spec, payload, meta in self._compute(kind, list(specs),
-                                                         counts):
+                with watching_deadlines(self.lease.extend):
+                    computed = self._compute(kind, list(specs), counts)
+                for spec, payload, meta in computed:
                     answers[spec.job_id] = ("ok", payload, meta)
             except BaseException as exc:  # noqa: BLE001 -- per-job typed errors
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -431,7 +445,9 @@ _LANE: Optional[LaneState] = None
 def _lane(config: LaneConfig) -> LaneState:
     global _LANE
     if _LANE is None:
-        _LANE = LaneState(config)
+        lease = worker_lease()
+        assert lease is not None, "lane state lives in a lane process"
+        _LANE = LaneState(config, lease)
     return _LANE
 
 
@@ -473,9 +489,11 @@ class _Lane:
         self.config = config
         self.index = config.index
         in_process = config.index == 0
-        self.state = LaneState(config) if in_process else None
         self.worker = (None if in_process
                        else OwnedWorker(f"serve-lane-{config.index}"))
+        #: Runs to when the group in flight promised to be done.
+        self.lease = Lease() if self.worker is None else self.worker.lease
+        self.state = LaneState(config, self.lease) if in_process else None
         self.thread = concurrent.futures.ThreadPoolExecutor(
             max_workers=1,
             thread_name_prefix="serve-exec" if in_process
@@ -502,6 +520,7 @@ class _Lane:
         return int(self.worker.call(_lane_ready, self.config))
 
     def execute(self, specs: Tuple[JobSpec, ...], trace: bool) -> GroupOutcome:
+        """Compute one group (on the lane thread)."""
         if self.state is not None:
             return self.state.execute(specs)
         assert self.worker is not None
@@ -510,6 +529,7 @@ class _Lane:
         return outcome
 
     def invalidate(self, key: Optional[str]) -> Tuple[int, Dict[str, int]]:
+        """Drop pooled entries (lane 0's pool is thread-safe: any thread)."""
         if self.state is not None:
             return self.state.pool.invalidate(key), self.state.pool.stats()
         assert self.worker is not None
@@ -555,7 +575,7 @@ class _QueuedJob:
 class _Group:
     """A coalesced group on its way to (or on) a lane."""
 
-    __slots__ = ("specs", "jobs", "keys", "batch", "hung")
+    __slots__ = ("specs", "jobs", "keys", "batch", "hung", "watchdog")
 
     def __init__(self, specs: Tuple[JobSpec, ...],
                  jobs: Tuple[_QueuedJob, ...], keys: Set[str],
@@ -565,6 +585,7 @@ class _Group:
         self.keys = keys
         self.batch = batch
         self.hung = False
+        self.watchdog: Optional[asyncio.TimerHandle] = None
 
     @property
     def deadline_s(self) -> float:
@@ -762,9 +783,11 @@ class ServeDaemon:
             key = request.get("key")
             lanes = [lane for lane in self._lanes
                      if lane.status in ("ready", "starting")]
+            # Lane 0 answers even while its thread computes (or hangs).
             results = await asyncio.gather(
-                *(loop.run_in_executor(lane.thread, lane.invalidate, key)
-                  for lane in lanes),
+                *(loop.run_in_executor(
+                    self._io if lane.worker is None else lane.thread,
+                    lane.invalidate, key) for lane in lanes),
                 return_exceptions=True)
             for lane, result in zip(lanes, results):
                 if isinstance(result, BaseException):
@@ -1001,9 +1024,9 @@ class ServeDaemon:
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
         ship_spans = tracer.enabled and lane.worker is not None
-        t0 = loop.time()
-        timer = loop.call_later(group.deadline_s + HANG_GRACE_S,
-                                self._hung, lane, group)
+        t0 = time.monotonic()
+        lane.lease.set(t0 + group.deadline_s)
+        self._watch(lane, group, t0)
         outcome: Optional[GroupOutcome] = None
         failure: Optional[BaseException] = None
         try:
@@ -1012,8 +1035,9 @@ class ServeDaemon:
         except Exception as exc:  # dclint: disable=DCL004 -- answered per job, typed
             failure = exc
         finally:
-            timer.cancel()
-        elapsed = loop.time() - t0
+            if group.watchdog is not None:
+                group.watchdog.cancel()
+        elapsed = time.monotonic() - t0
         lane.groups += 1
         lane.busy_s += elapsed
         lane.group = None
@@ -1041,16 +1065,22 @@ class ServeDaemon:
         assert outcome is not None
         await self._answer(group, outcome)
 
-    def _hung(self, lane: _Lane, group: _Group) -> None:
-        """The group outlived its deadlines by the grace: fail it typed."""
+    def _watch(self, lane: _Lane, group: _Group, t0: float) -> None:
+        """Check the lane's lease at its end plus the grace, until the
+        group returns; past it, the group is hung: fail it typed."""
         if lane.group is not group:
+            return
+        wait_s = lane.lease.until + HANG_GRACE_S - time.monotonic()
+        if wait_s > 0:
+            group.watchdog = asyncio.get_running_loop().call_later(
+                wait_s, self._watch, lane, group, t0)
             return
         group.hung = True
         if lane.worker is not None:
             lane.worker.kill()  # its pending call raises WorkerCrashError
             return
         # A thread cannot be killed: answer now, stay busy until it returns.
-        failure = group.expired(group.deadline_s + HANG_GRACE_S)
+        failure = group.expired(time.monotonic() - t0)
         for job in group.jobs:
             self._resolve(job, error_response(job.spec.job_id, failure))
 

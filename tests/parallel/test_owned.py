@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.parallel.executor import WorkerCrashError
-from repro.parallel.owned import OwnedWorker
+from repro.parallel.owned import OwnedWorker, worker_lease
 from repro.tuning.profile import TuningProfile, active_profile, get_active_profile
 
 #: Module state of the worker-side copy of this module.
@@ -35,6 +35,11 @@ def nap(seconds):
 
 def profile_overrides():
     return get_active_profile().to_dict()["overrides"]
+
+
+def extend_lease(until):
+    worker_lease().extend(until)
+    worker_lease().extend(until - 1.0)  # an earlier instant: no effect
 
 
 class Unportable(Exception):
@@ -94,11 +99,28 @@ class TestCalls:
                 assert w.call(profile_overrides) == \
                     tuned.to_dict()["overrides"]
 
-    def test_ignores_sigint(self, worker):
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_ignores_interrupt_and_terminate(self, worker, signum):
+        """A Ctrl-C or a stop sent to the owner's process group."""
         pid = worker.call(remember, 1)
-        os.kill(pid, signal.SIGINT)
+        os.kill(pid, signum)
         time.sleep(0.2)
         assert worker.call(recall) == 1
+        assert worker.pid == pid
+
+    def test_calls_extend_the_lease_the_owner_reads(self, worker):
+        assert worker_lease() is None  # not a worker process
+        now = time.monotonic()
+        worker.lease.set(now)
+        worker.call(extend_lease, now + 5.0)
+        assert worker.lease.until == now + 5.0
+        worker.kill()
+        deadline = time.monotonic() + 5.0
+        while worker.alive and time.monotonic() < deadline:
+            time.sleep(0.01)
+        worker.call(extend_lease, now + 6.0)  # the replacement shares it
+        assert worker.lease.until == now + 6.0
 
 
 class TestDeath:

@@ -30,6 +30,7 @@ from repro.resilience.liveness import (
     active_deadline,
     check_deadline,
     deadline_scope,
+    watching_deadlines,
 )
 from repro.resilience.supervisor import (
     RECOVERABLE,
@@ -121,6 +122,20 @@ class TestDeadline:
             with deadline_scope(60.0):
                 raise RuntimeError("boom")
         assert not _SCOPES
+
+    def test_watchers_hear_each_armed_scope_expiry(self):
+        heard = []
+        with watching_deadlines(heard.append):
+            with deadline_scope(None):
+                pass
+            before = time.monotonic()
+            with deadline_scope(60.0, "outer") as outer:
+                with deadline_scope(5.0, "inner") as inner:
+                    pass
+        with deadline_scope(1.0):
+            pass  # no longer watched
+        assert heard == [outer.t0 + 60.0, inner.t0 + 5.0]
+        assert before <= outer.t0 <= inner.t0
 
 
 class TestRetryBudget:

@@ -4,13 +4,15 @@ The stress gate first: seeded closed loops of two clients (repeats,
 warm scf, spectra, ``run`` jobs and ensemble sweeps) against a daemon
 with two lanes, every answer bitwise-equal to the one-shot
 ``repro.serve.workloads`` computation.  Then the lane lifecycle: a lane
-process killed mid-group, a hung lane, a deadline inside a lane, drain
-while a lane starts, routing by warm key, ``invalidate`` and ``stats``
-across lanes, and lane spans in the daemon's trace.
+process killed mid-group, a hung lane, a long group whose rounds each
+fit their deadline (not hung), a deadline inside a lane, drain while a
+lane starts, routing by warm key, ``invalidate`` and ``stats`` across
+lanes, and lane spans in the daemon's trace.
 
 Lane 0 is the daemon's in-process thread, so a test can hold it inside
 one gated job (:func:`occupy_lane0`) and every other group then runs on
-lane 1, a separate process.
+lane 1, a separate process.  A test reaches a lane's own process through
+its worker (:func:`slow_rounds`).
 """
 
 from __future__ import annotations
@@ -124,6 +126,41 @@ def occupy_lane0(client):
         holder.join(120)
         workloads.ensemble_path = original
     assert held["reply"][0]["status"] == "ok", held
+
+
+_SAVED_ROUND: dict = {}
+
+
+def _slow_rounds(seconds):
+    """Make every ensemble round ``seconds`` slower, in whichever process."""
+    from repro.ensemble.engine import EnsembleRun
+
+    original = _SAVED_ROUND.setdefault("md_step", EnsembleRun.md_step)
+
+    def slow(self):
+        time.sleep(seconds)
+        return original(self)
+
+    EnsembleRun.md_step = slow
+
+
+def _restore_rounds():
+    from repro.ensemble.engine import EnsembleRun
+
+    # A worker that replaced a killed one was never slowed.
+    EnsembleRun.md_step = _SAVED_ROUND.pop("md_step", EnsembleRun.md_step)
+
+
+@contextlib.contextmanager
+def slow_rounds(lane, seconds):
+    """Slow ``lane``'s ensemble rounds: in this process, or in its worker."""
+    call = ((lambda fn, *args: fn(*args)) if lane.worker is None
+            else lane.worker.call)
+    call(_slow_rounds, seconds)
+    try:
+        yield
+    finally:
+        call(_restore_rounds)
 
 
 # ---------------------------------------------------------------------- #
@@ -316,6 +353,32 @@ class TestLaneFailures:
                 assert_bitwise(again["result"], one_shot(job, tmp_path),
                                "after the hang")
 
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_rounds_that_each_fit_the_deadline_are_not_hung(
+            self, tmp_path, monkeypatch, lane):
+        """Six rounds of 0.25 s under a 1-s deadline outlast the deadline
+        plus the grace; each round arms a fresh budget, which renews the
+        lane's lease, so the group is answered, not taken for hung."""
+        monkeypatch.setattr(daemon_module, "HANG_GRACE_S", 0.2)
+        job = {"kind": "ensemble", "memoize": False, "deadline_s": 1.0,
+               "params": {**ENS, "ntraj": 6, "batch_size": 1, "seed": 31}}
+        with serving(tmp_path) as (handle, client):
+            held = (occupy_lane0(client) if lane == 1
+                    else contextlib.nullcontext())
+            with held:
+                if lane == 1:
+                    client.submit([spectrum_job(13, 20)])  # starts lane 1
+                groups = lanes(client)[lane]["groups"]
+                with slow_rounds(handle.daemon._lanes[lane], 0.25):
+                    t0 = time.monotonic()
+                    (reply,) = client.submit([job])
+                    elapsed = time.monotonic() - t0
+                    assert reply["status"] == "ok", reply
+                assert lanes(client)[lane]["groups"] == groups + 1
+        assert elapsed > 1.0 + 0.2
+        assert_bitwise(reply["result"], one_shot(job, tmp_path),
+                       "slow rounds")
+
     def test_deadline_expires_inside_a_lane(self, tmp_path):
         with serving(tmp_path) as (_, client):
             with occupy_lane0(client):
@@ -401,11 +464,14 @@ class TestRouting:
             assert_bitwise(reply["result"], one_shot(job, tmp_path), seed)
 
     def test_invalidate_and_stats_reach_every_lane(self, tmp_path):
-        with serving(tmp_path) as (_, client):
+        with serving(tmp_path) as (handle, client):
             client.submit([spectrum_job(9, 20)])          # lane 0
+            impatient = ServeClient(handle.config.socket_path, timeout_s=10)
             with occupy_lane0(client):
                 client.submit([spectrum_job(10, 20)])     # lane 1
-            stats = client.stats()
+                stats = client.stats()
+                # Lane 0's pool answers while its thread computes.
+                dropped = impatient.invalidate(scope="pool")
             assert [lane["pool"]["entries"] for lane in stats["lanes"]] \
                 == [1, 1]
             assert stats["pool"]["entries"] == 2
@@ -413,7 +479,6 @@ class TestRouting:
                 assert lane["pid"] and lane["groups"] >= 1
                 assert lane["busy_s"] > 0 and lane["vmhwm_mb"] > 0
             assert stats["lanes"][1]["pid"] != os.getpid()
-            dropped = client.invalidate(scope="pool")
             assert dropped == {"pool": 2, "artifacts": 0}
             assert client.stats()["pool"]["entries"] == 0
 
