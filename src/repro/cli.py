@@ -695,8 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--substeps", type=int, default=20,
                      help="electronic RK4 sub-steps per MD step")
     ens.add_argument("--batch-size", type=int, default=None,
-                     help="trajectories per swarm batch (default: the "
-                          "ensemble.swarm tunable, 32 untuned)")
+                     help="most trajectories per swarm batch (default: "
+                          "the ensemble.swarm tunable, 256 untuned); a "
+                          "batch is never wider than its share of a round")
     ens.add_argument("--hop-rescale", choices=("energy", "augment", "none"),
                      default="energy",
                      help="velocity handling after accepted hops "
@@ -782,9 +783,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded admission queue depth (beyond it, "
                             "jobs are shed with a typed ServerBusy)")
     serve.add_argument("--pool-entries", type=int, default=8,
-                       help="warm-state pool entry cap (LRU), per lane")
+                       help="warm-state pool entry cap (LRU), per pool: "
+                            "each lane's and the daemon's scf pool")
     serve.add_argument("--pool-max-bytes", type=int, default=None,
-                       help="warm-state pool byte budget (LRU), per lane")
+                       help="warm-state pool byte budget (LRU), per pool")
     serve.add_argument("--deadline", type=float, default=None,
                        help="per-job wall-clock budget in seconds of a job "
                             "that names none (default: "

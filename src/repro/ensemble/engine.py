@@ -4,8 +4,9 @@ A run stacks one or more *members* -- independent jobs, each an
 ``(ntraj, istate, seed)`` :class:`EnsembleMember` -- on one trajectory
 axis.  A single :class:`EnsembleConfig` job is a run with one member;
 the serving daemon coalesces compatible requests into one run with many.
-The engine packs the stacked axis into tasks of ``batch_size`` rows
-(the ``ensemble.swarm`` tunable), runs each task as one picklable
+The engine packs the stacked axis into tasks of at most ``batch_size``
+rows (the ``ensemble.swarm`` tunable), and no wider than a round needs
+to give each of its tasks a share, runs each task as one picklable
 executor task -- a full swarm sweep over the classical path -- and
 writes the per-trajectory traces back *in trajectory order*.  Every
 row's RNG stream is keyed on ``(member seed, member-local index)`` and
@@ -307,19 +308,23 @@ class EnsembleRun:
         if any(m.istate >= path.nstates for m in members):
             raise ValueError("istate outside the path's state range")
         self.members = tuple(members)
-        self.batch_size = resolve_batch_size(self.config)
-        self.batches = pack_segments(self.members, self.batch_size)
+        ntraj = sum(m.ntraj for m in self.members)
+        self.ntraj = ntraj
         self.round_size = (round_size if round_size is not None
                            else max(1, workers if workers is not None else 1))
         if self.round_size < 1:
             raise ValueError("round_size must be positive")
+        # Rows per task: no wider than a round needs to give each of its
+        # tasks a share, so a serial run of up to batch_size rows is one
+        # task while every worker of a parallel round still gets one.
+        self.batch_size = min(resolve_batch_size(self.config),
+                              math.ceil(ntraj / self.round_size))
+        self.batches = pack_segments(self.members, self.batch_size)
         self._executor = executor
         self._backend = backend
         self._workers = workers
         self._executor_extras = executor_extras
-        ntraj = sum(m.ntraj for m in self.members)
         nsteps, nstates = path.nsteps, path.nstates
-        self.ntraj = ntraj
         self.populations = np.zeros((nsteps, ntraj, nstates))
         self.actives = np.zeros((nsteps, ntraj), dtype=np.int64)
         self.hops = np.zeros(ntraj, dtype=np.int64)

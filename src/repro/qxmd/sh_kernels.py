@@ -151,29 +151,17 @@ def batched_norm(xp: Any, c: Any) -> Any:
     return xp.sqrt(acc)
 
 
-def _apply_nac(xp: Any, c: Any, nac: Any) -> Any:
-    """Row-wise ``nac @ c[t]`` as an ordered state-axis accumulation.
-
-    ``out[t, i] = sum_k nac[i, k] * c[t, k]`` with the ``k`` sum running
-    in index order -- the same floating-point operation sequence for a
-    row regardless of the batch size (BLAS ``matmul`` would not be).
-    """
-    ntraj, nstates = c.shape
-    acc = xp.zeros((ntraj, nstates), dtype=xp.complex128)
-    for k in range(nstates):
-        acc = acc + c[:, k, None] * nac[None, :, k]
-    return acc
-
-
-def amplitude_derivative(xp: Any, c: Any, energies: Any, nac: Any) -> Any:
-    """``dc/dt = -(i/hbar) E c - D c`` for stacked amplitudes ``(ntraj, n)``."""
-    return (-1j / HBAR) * energies[None, :] * c - _apply_nac(xp, c, nac)
-
-
 def propagate_amplitudes_batch(
     xp: Any, c: Any, energies: Any, nac: Any, dt: float, substeps: int
 ) -> Any:
     """RK4 integration of stacked amplitudes over one MD step.
+
+    Each stage evaluates ``dc/dt = -(i/hbar) E c - D c``.  The factor
+    ``-(i/hbar) E`` is formed once per call.  A stage forms every
+    product ``c[t, k] * nac[i, k]`` in one broadcast multiply and sums
+    them over ``k`` in index order, starting from zero: the same
+    floating-point operation sequence for a row regardless of the batch
+    size (BLAS ``matmul`` would not be), signed zeros included.
 
     Returns the new, per-row renormalized amplitude array (the NAC is
     anti-Hermitian so the norm is conserved up to the RK4 residual,
@@ -181,12 +169,24 @@ def propagate_amplitudes_batch(
     """
     if substeps < 1:
         raise ValueError("substeps must be positive")
+    ntraj, nstates = c.shape
+    phase = (-1j / HBAR) * energies[None, :]
+    nac_ki = nac.mT[None, :, :]  # [0, k, i] = nac[i, k]
+    zero = xp.zeros((ntraj, nstates), dtype=xp.complex128)
+
+    def derivative(c: Any) -> Any:
+        products = c[:, :, None] * nac_ki  # [t, k, i] = c[t, k] nac[i, k]
+        acc = zero
+        for k in range(nstates):
+            acc = acc + products[:, k, :]
+        return phase * c - acc
+
     h = dt / substeps
     for _ in range(substeps):
-        k1 = amplitude_derivative(xp, c, energies, nac)
-        k2 = amplitude_derivative(xp, c + 0.5 * h * k1, energies, nac)
-        k3 = amplitude_derivative(xp, c + 0.5 * h * k2, energies, nac)
-        k4 = amplitude_derivative(xp, c + h * k3, energies, nac)
+        k1 = derivative(c)
+        k2 = derivative(c + 0.5 * h * k1)
+        k3 = derivative(c + 0.5 * h * k2)
+        k4 = derivative(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return c / batched_norm(xp, c)[:, None]
 

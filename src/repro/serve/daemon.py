@@ -8,8 +8,10 @@ every artifact-store read and write and all other file I/O, and each
 lane computes on a thread of its own.
 
 Lanes.  A lane computes one coalesced group at a time and owns, for its
-whole life, a warm-state pool of ``pool_entries`` entries and a scratch
-directory (:class:`LaneState`).  There is one lane per CPU in
+whole life, a warm-state pool of ``pool_entries`` entries for spectrum
+ground states and a scratch directory (:class:`LaneState`); a group's
+supervisor checkpoints live under that directory until the group
+returns.  There is one lane per CPU in
 ``os.sched_getaffinity``.  Lane 0 is the daemon's own worker thread, the
 in-process path a 1-CPU host and any one-request-at-a-time load run.
 Lanes 1.. are :class:`~repro.parallel.owned.OwnedWorker` processes, each
@@ -18,30 +20,31 @@ group is waiting and every started lane is busy, so nothing but the
 daemon runs until load needs a second core.  Every lane runs the same
 :meth:`LaneState.execute` against its own pool.
 
-Routing.  A group that touches the pool -- a spectrum group, or scf jobs
-the artifact store does not memoize -- goes to the lane that first built
-its warm key (:func:`repro.serve.jobs.warm_key`), and waits for that
-lane while it is busy; an scf group whose keys live on different lanes
-splits by lane.  Any other group goes to the idle ready lane with the
-least busy time.  A pooled ground state and its recorded propagation
-therefore live in one lane only, and no lock guards them across lanes.
-Jobs that wait for a lane join a waiting group of their batch key (up
-to ``max_batch``), so load still coalesces while every lane is busy.
+Routing.  A spectrum group goes to the lane that first built its warm
+key (:func:`repro.serve.jobs.warm_key`), and waits for that lane while
+it is busy, so a pooled ground state and its recorded propagation live
+in one lane only and no lock guards them across lanes.  Any other group
+goes to the idle ready lane with the least busy time.  Jobs that wait
+for a lane join a waiting group of their batch key (up to
+``max_batch``), so load still coalesces while every lane is busy.
 
 Job lifecycle::
 
     client line -> validate -> admission (bounded queue, typed
     ServerBusy shed) -> scheduler assembles a batch (until arrivals
     pause for ARRIVAL_GAP_S, or max_batch jobs) -> io thread answers
-    artifact-store memo hits -> compatibility groups -> routed to lanes
-    (the scheduler goes on assembling while lanes compute) -> io thread
-    memoizes fresh results -> per-job futures resolve -> NDJSON responses.
+    artifact-store memo hits and warm scf hits -> compatibility groups
+    -> routed to lanes (the scheduler goes on assembling while lanes
+    compute) -> io thread memoizes fresh results -> per-job futures
+    resolve -> NDJSON responses.
 
-The pool holds what the store does not answer: spectrum ground states,
-each with its recorded kicked propagation (a spectrum job propagates
-only the steps its ground state has not recorded yet; the
-``spectrum_qd_steps`` counter sums them), and scf results of
-``memoize: false`` jobs or of a daemon without an artifact store.
+The pools hold what the store does not answer.  A lane's pool holds
+spectrum ground states, each with its recorded kicked propagation (a
+spectrum job propagates only the steps its ground state has not
+recorded yet; the ``spectrum_qd_steps`` counter sums them).  The
+daemon's own pool holds scf results of ``memoize: false`` jobs, or of
+every scf job when there is no artifact store; a repeat is answered
+from it before dispatch, whichever lane computed it.
 
 Failures.  Every job carries a finite deadline
 (:data:`~repro.serve.jobs.DEFAULT_DEADLINE_S` unless it names one),
@@ -57,11 +60,13 @@ lane process that dies answers its group's jobs with a typed
 ``WorkerCrashError``; its routes are dropped, and the next start gives
 an empty replacement.
 
-``stats`` reports ``metrics`` and ``pool`` summed over lanes, plus a
-``lanes`` list (pid, status, groups, busy seconds, pool counts and the
-lane's peak resident set, VmHWM).  ``invalidate`` reaches every started
-lane: lane 0's thread-safe pool from the io thread, at once, and a lane
-process's pool on its lane thread, after the group in flight.  While a
+``stats`` reports ``metrics`` and ``pool`` summed over the daemon's
+pool and every lane's, plus a ``lanes`` list (pid, status, groups, busy
+seconds, pool counts and the lane's peak resident set, VmHWM).
+``invalidate`` drops the daemon's pool at once and reaches every
+started lane: lane 0's thread-safe pool from the io thread, at once,
+and a lane process's pool on its lane thread, after the group in
+flight.  While a
 tracer is installed in the daemon's process, lane 0 records into it
 directly, and a lane process returns its spans with each group result,
 rebased onto that tracer's epoch and tagged ``lane``.
@@ -163,7 +168,7 @@ class ServeConfig:
     scratch_root: Optional[pathlib.Path] = None
     policy: BatchPolicy = field(default_factory=BatchPolicy)
     max_queue: int = 64
-    #: Warm-state pool entry cap, per lane.
+    #: Warm-state pool entry cap, per pool (each lane's and the daemon's).
     pool_entries: int = 8
     pool_max_bytes: Optional[int] = None
     default_deadline_s: float = DEFAULT_DEADLINE_S
@@ -226,6 +231,12 @@ def _split_payload(
     return arrays, scalars
 
 
+def _payload_nbytes(payload: Dict[str, Any]) -> int:
+    """Bytes of a payload's arrays (its warm-pool footprint)."""
+    return sum(v.nbytes for v in payload.values()
+               if isinstance(v, np.ndarray))
+
+
 def _vmhwm_mb() -> float:
     """This process's peak resident set (VmHWM), in MB (10^6 bytes)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
@@ -243,9 +254,6 @@ class LaneConfig:
     pool_max_bytes: Optional[int]
     scratch_root: pathlib.Path
     max_retries: int
-    #: Whether the daemon memoizes results in an artifact store (then
-    #: memoized scf results are answered by the store, not pooled).
-    memo_store: bool
 
 
 @dataclass
@@ -268,7 +276,10 @@ class GroupOutcome:
 class LaneState:
     """What one lane owns for its whole life: its warm pool and scratch.
 
-    Each deadline scope a group arms extends ``lease`` to its expiry.
+    Each deadline scope a group arms extends ``lease`` to its expiry.  A
+    group's scratch directory holds its supervisor checkpoints, which
+    only recovery inside the group reads, so it is removed when the
+    group returns.
     """
 
     def __init__(self, config: LaneConfig, lease: Lease) -> None:
@@ -284,11 +295,14 @@ class LaneState:
         counts = {"warm_hits": 0, "spectrum_qd_steps": 0}
         kind = specs[0].kind
         answers: Dict[str, Tuple[Any, ...]] = {}
+        scratch = self.scratch / (f"{group_signature(specs)[:16]}"
+                                  f"-{next(self._exec_counter)}")
         with trace_span("serve.group", "serve", kind=kind, jobs=len(specs),
                         lane=self.config.index):
             try:
                 with watching_deadlines(self.lease.extend):
-                    computed = self._compute(kind, list(specs), counts)
+                    computed = self._compute(kind, list(specs), counts,
+                                             scratch)
                 for spec, payload, meta in computed:
                     answers[spec.job_id] = ("ok", payload, meta)
             except BaseException as exc:  # noqa: BLE001 -- per-job typed errors
@@ -298,29 +312,28 @@ class LaneState:
                     answers.setdefault(
                         spec.job_id,
                         ("error", error_response(spec.job_id, exc)))
+            finally:
+                shutil.rmtree(scratch, ignore_errors=True)
         return GroupOutcome([answers[s.job_id] for s in specs], counts,
                             self.pool.stats(), _vmhwm_mb())
 
-    def _scratch_dir(self, specs: Tuple[JobSpec, ...]) -> pathlib.Path:
-        name = f"{group_signature(specs)[:16]}-{next(self._exec_counter)}"
-        return self.scratch / name
-
     def _compute(
         self, kind: str, specs: List[JobSpec], counts: Dict[str, int],
+        scratch: pathlib.Path,
     ) -> List[Tuple[JobSpec, Dict[str, Any], Dict[str, Any]]]:
         if kind == "scf":
-            return self._compute_scf(specs, counts)
+            return self._compute_scf(specs)
         if kind == "spectrum":
             return self._compute_spectrum(specs, counts)
         if kind == "ensemble":
-            return self._compute_ensemble(specs)
+            return self._compute_ensemble(specs, scratch)
         out = []
-        for spec in specs:
+        for i, spec in enumerate(specs):
             with trace_span("serve.job", "serve", kind=kind,
                             job=spec.job_id, lane=self.config.index):
                 payload = workloads.run_payload(
                     spec.params,
-                    supervise_dir=self._scratch_dir((spec,)),
+                    supervise_dir=scratch / f"job{i}",
                     deadline_s=spec.deadline_s,
                     max_retries=self.config.max_retries,
                 )
@@ -328,50 +341,18 @@ class LaneState:
         return out
 
     def _compute_scf(
-        self, specs: List[JobSpec], counts: Dict[str, int],
+        self, specs: List[JobSpec],
     ) -> List[Tuple[JobSpec, Dict[str, Any], Dict[str, Any]]]:
         from repro.qxmd.scf import scf_solve_batch
 
-        warm: Dict[str, Dict[str, Any]] = {}
-        cold: List[JobSpec] = []
-        for spec in specs:
-            pooled = self.pool.get(warm_key(spec))
-            if pooled is not None:
-                warm[spec.job_id] = pooled
-                counts["warm_hits"] += 1
-            else:
-                cold.append(spec)
-        solved: Dict[str, Dict[str, Any]] = {}
-        if cold:
-            budget = min(s.deadline_s for s in cold)
-            tasks = [workloads.scf_task(s.params) for s in cold]
-            with trace_span("serve.job", "serve", kind="scf",
-                            jobs=len(cold), lane=self.config.index):
-                with deadline_scope(budget, "serve.scf"):
-                    results = scf_solve_batch(tasks)
-            for spec, result in zip(cold, results):
-                payload = workloads.scf_payload(result)
-                if not (self.config.memo_store and spec.memoize):
-                    # The store answers a memoized repeat before this
-                    # method runs, so pooling it too would only evict.
-                    self.pool.put(
-                        warm_key(spec), payload,
-                        nbytes=lambda p: sum(
-                            v.nbytes for v in p.values()
-                            if isinstance(v, np.ndarray)
-                        ),
-                    )
-                solved[spec.job_id] = payload
-        out = []
-        for spec in specs:
-            if spec.job_id in warm:
-                payload = warm[spec.job_id]
-                meta = {"warm": True}
-            else:
-                payload = solved[spec.job_id]
-                meta = {"warm": False}
-            out.append((spec, dict(payload), meta))
-        return out
+        tasks = [workloads.scf_task(s.params) for s in specs]
+        with trace_span("serve.job", "serve", kind="scf",
+                        jobs=len(specs), lane=self.config.index):
+            with deadline_scope(min(s.deadline_s for s in specs),
+                                "serve.scf"):
+                results = scf_solve_batch(tasks)
+        return [(spec, workloads.scf_payload(result), {"warm": False})
+                for spec, result in zip(specs, results)]
 
     def _compute_spectrum(
         self, specs: List[JobSpec], counts: Dict[str, int],
@@ -404,7 +385,7 @@ class LaneState:
         return out
 
     def _compute_ensemble(
-        self, specs: List[JobSpec]
+        self, specs: List[JobSpec], scratch: pathlib.Path,
     ) -> List[Tuple[JobSpec, Dict[str, Any], Dict[str, Any]]]:
         shared = specs[0].params
         path = workloads.ensemble_path(shared)
@@ -428,7 +409,7 @@ class LaneState:
         with EnsembleRun(path, config, members=members) as group:
             results = run_group_supervised(
                 group,
-                self._scratch_dir(tuple(specs)),
+                scratch,
                 deadline_s=min(s.deadline_s for s in specs),
                 max_retries=self.config.max_retries,
             )
@@ -573,17 +554,21 @@ class _QueuedJob:
 
 
 class _Group:
-    """A coalesced group on its way to (or on) a lane."""
+    """A coalesced group on its way to (or on) a lane.
 
-    __slots__ = ("specs", "jobs", "keys", "batch", "hung", "watchdog")
+    ``key`` is the warm key of a spectrum group's ground state (one per
+    group: spectra coalesce only when they share it), else ``None``.
+    """
+
+    __slots__ = ("specs", "jobs", "key", "batch", "hung", "watchdog")
 
     def __init__(self, specs: Tuple[JobSpec, ...],
-                 jobs: Tuple[_QueuedJob, ...], keys: Set[str],
-                 batch: Optional[str]) -> None:
+                 jobs: Tuple[_QueuedJob, ...]) -> None:
         self.specs = specs
         self.jobs = jobs
-        self.keys = keys
-        self.batch = batch
+        self.key = (warm_key(specs[0]) if specs[0].kind == "spectrum"
+                    else None)
+        self.batch = batch_key(specs[0])
         self.hung = False
         self.watchdog: Optional[asyncio.TimerHandle] = None
 
@@ -607,6 +592,9 @@ class ServeDaemon:
             self.store = ArtifactStore(config.artifact_root,
                                        max_bytes=config.artifact_max_bytes)
         self._machine = machine_fingerprint()
+        #: scf results the store does not answer (see :meth:`_pooled`).
+        self.pool = WarmStatePool(max_entries=config.pool_entries,
+                                  max_bytes=config.pool_max_bytes)
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self._pending = 0
         self._draining = False
@@ -645,7 +633,6 @@ class ServeDaemon:
             pool_max_bytes=self.config.pool_max_bytes,
             scratch_root=self._scratch_root,
             max_retries=self.config.max_retries,
-            memo_store=self.store is not None,
         )) for i in range(lane_count())]
         if install_signals:
             import signal
@@ -781,6 +768,7 @@ class ServeDaemon:
         dropped_pool = dropped_artifacts = 0
         if scope in ("pool", "all"):
             key = request.get("key")
+            dropped_pool = self.pool.invalidate(key)
             lanes = [lane for lane in self._lanes
                      if lane.status in ("ready", "starting")]
             # Lane 0 answers even while its thread computes (or hangs).
@@ -887,16 +875,18 @@ class ServeDaemon:
         return batch
 
     async def _admit(self, batch: List[_QueuedJob]) -> None:
-        """Answer memo hits, group the rest and queue the groups for lanes."""
+        """Answer memo and warm hits, group the rest and queue the groups
+        for lanes."""
         loop = asyncio.get_running_loop()
         now = loop.time()
         for job in batch:
             self.metrics.time_spent(queue_wait_s=now - job.queued_at)
         self.metrics.bump("batches")
         fresh = batch
-        if self.store is not None and any(j.spec.memoize for j in batch):
+        if any(self._memoized(j.spec) or self._pooled(j.spec)
+               for j in batch):
             answered = await loop.run_in_executor(
-                self._io, self._answer_memoized, [j.spec for j in batch])
+                self._io, self._answer_stored, [j.spec for j in batch])
             fresh = []
             for job in batch:
                 response = answered.get(job.spec.job_id)
@@ -919,32 +909,24 @@ class ServeDaemon:
         with a waiting group of their batch key, up to ``max_batch``
         jobs, as they would have queued into one batch behind one worker.
         """
-        new = self._group(specs, jobs)
+        new = _Group(specs, jobs)
         for i, group in enumerate(self._waiting):
             if (new.batch is not None and group.batch == new.batch
                     and len(group.specs) + len(specs)
                     <= self.config.policy.max_batch):
-                self._waiting[i] = self._group(group.specs + specs,
-                                               group.jobs + jobs)
+                self._waiting[i] = _Group(group.specs + specs,
+                                          group.jobs + jobs)
                 return
         self._waiting.append(new)
 
-    def _pool_key(self, spec: JobSpec) -> Optional[str]:
-        """The warm key a job builds or reads in its lane's pool, if any."""
-        if spec.kind == "spectrum" or (
-                spec.kind == "scf"
-                and not (self.store is not None and spec.memoize)):
-            return warm_key(spec)
-        return None
+    def _memoized(self, spec: JobSpec) -> bool:
+        """Whether the artifact store answers and keeps this job."""
+        return self.store is not None and spec.memoize
 
-    def _group(self, specs: Tuple[JobSpec, ...],
-               jobs: Tuple[_QueuedJob, ...]) -> _Group:
-        keys = {k for k in map(self._pool_key, specs) if k is not None}
-        return _Group(specs, jobs, keys, batch_key(specs[0]))
-
-    def _owner(self, spec: JobSpec) -> Optional[int]:
-        key = self._pool_key(spec)
-        return None if key is None else self._routes.get(key)
+    def _pooled(self, spec: JobSpec) -> bool:
+        """Whether the daemon's pool answers and keeps this job: scf
+        results the store does not memoize."""
+        return spec.kind == "scf" and not self._memoized(spec)
 
     def _pump(self) -> None:
         """Hand waiting groups to lanes that may take them, in order."""
@@ -956,13 +938,9 @@ class ServeDaemon:
         i = 0
         while i < len(self._waiting):
             group = self._waiting[i]
-            owners = {self._routes[k] for k in group.keys
-                      if k in self._routes}
-            if len(owners) > 1:
-                self._waiting[i:i + 1] = self._split(group)
-                continue
-            if owners:
-                lane: Optional[_Lane] = self._lanes[owners.pop()]
+            owner = None if group.key is None else self._routes.get(group.key)
+            if owner is not None:
+                lane: Optional[_Lane] = self._lanes[owner]
             else:
                 lane = min((ln for ln in self._lanes if ln.idle),
                            key=lambda ln: ln.busy_s, default=None)
@@ -974,21 +952,11 @@ class ServeDaemon:
         if self._waiting:
             self._maybe_start_lane()
 
-    def _split(self, group: _Group) -> List[_Group]:
-        """An scf group whose warm keys live on different lanes, by lane."""
-        parts: Dict[Optional[int], List[int]] = {}
-        for i, spec in enumerate(group.specs):
-            parts.setdefault(self._owner(spec), []).append(i)
-        return [self._group(tuple(group.specs[i] for i in idx),
-                            tuple(group.jobs[i] for i in idx))
-                for idx in parts.values()]
-
     def _maybe_start_lane(self) -> None:
         """Start one lane when an unrouted group waits and none is idle."""
         if any(ln.idle or ln.status == "starting" for ln in self._lanes):
             return
-        if not any(not any(k in self._routes for k in g.keys)
-                   for g in self._waiting):
+        if all(g.key in self._routes for g in self._waiting):
             return  # every waiting group waits for its owner lane
         lane = next((ln for ln in self._lanes if ln.status == "stopped"),
                     None)
@@ -1009,11 +977,11 @@ class ServeDaemon:
         self._pump()
 
     def _dispatch_group(self, lane: _Lane, group: _Group) -> None:
-        for key in group.keys:
-            self._routes[key] = lane.index
-            self._routes.move_to_end(key)
-        while len(self._routes) > _MAX_ROUTES:
-            self._routes.popitem(last=False)
+        if group.key is not None:
+            self._routes[group.key] = lane.index
+            self._routes.move_to_end(group.key)
+            while len(self._routes) > _MAX_ROUTES:
+                self._routes.popitem(last=False)
         lane.group = group
         self.metrics.bump("groups")
         if len(group.specs) > 1:
@@ -1126,15 +1094,24 @@ class ServeDaemon:
     # ------------------------------------------------------------------ #
     # artifact store (io thread; blocking is fine here)
     # ------------------------------------------------------------------ #
-    def _answer_memoized(
+    def _answer_stored(
         self, specs: List[JobSpec]
     ) -> Dict[str, Dict[str, Any]]:
-        """Responses of the store's hits (and of failed reads), by job id."""
-        assert self.store is not None
+        """Responses of the store's and the daemon pool's hits (and of
+        failed store reads), by job id."""
         responses: Dict[str, Dict[str, Any]] = {}
         for spec in specs:
-            if not spec.memoize:
+            if self._pooled(spec):
+                pooled = self.pool.get(warm_key(spec))
+                if pooled is not None:
+                    self.metrics.bump("warm_hits")
+                    responses[spec.job_id] = ok_response(
+                        spec.job_id, pooled,
+                        {"warm": True, "memoized": False, "coalesced": 1})
                 continue
+            if not self._memoized(spec):
+                continue
+            assert self.store is not None
             try:
                 hit = self.store.get(self._artifact_key(spec))
             except Exception as exc:  # dclint: disable=DCL004 -- answered per job, typed
@@ -1163,6 +1140,8 @@ class ServeDaemon:
                 continue
             _, payload, meta = answer
             meta.update(memoized=False, coalesced=len(specs))
+            if self._pooled(spec):
+                self.pool.put(warm_key(spec), payload, nbytes=_payload_nbytes)
             try:
                 self._memoize(spec, payload)
             except Exception as exc:  # dclint: disable=DCL004 -- answered per job, typed
@@ -1172,8 +1151,9 @@ class ServeDaemon:
         return out
 
     def _memoize(self, spec: JobSpec, payload: Dict[str, Any]) -> None:
-        if self.store is None or not spec.memoize:
+        if not self._memoized(spec):
             return
+        assert self.store is not None
         arrays, scalars = _split_payload(payload)
         self.store.put(
             self._artifact_key(spec), arrays,
@@ -1188,7 +1168,7 @@ class ServeDaemon:
     def stats(self) -> Dict[str, Any]:
         """Queue/pool/store/counter snapshot (the ``stats`` op body)."""
         lanes = [lane.snapshot() for lane in self._lanes]
-        pool = dict.fromkeys(WarmStatePool().stats(), 0)
+        pool = self.pool.stats()
         for lane in lanes:
             for name in pool:
                 pool[name] += lane["pool"][name]

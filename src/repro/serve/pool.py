@@ -1,5 +1,5 @@
 """Warm-state pool: LRU reuse of converged ground-state stages, one pool
-per serving lane.
+per serving lane and one in the daemon.
 
 The pool memoizes converged stages in memory under their *full*
 ground-state parameter key (:func:`repro.serve.jobs.warm_key`), so a
@@ -20,13 +20,14 @@ Bounded two ways: an entry-count cap and an optional byte budget
 Eviction is least-recently-used.  ``invalidate()`` supports the
 protocol's explicit cache-drop operation.
 
-Each lane of the daemon (:mod:`repro.serve.daemon`) owns one pool, so
-``pool_entries`` and the byte budget are per lane.  The daemon sends
-every group that reads or builds a key to the lane that first built it,
-so a key lives in one pool and only its lane touches it; the daemon
-reads pool counts from what each lane reports after a group.  The
-methods are thread-safe all the same, for a pool shared by threads
-outside the daemon.
+Each lane of the daemon (:mod:`repro.serve.daemon`) owns one pool of
+spectrum ground states, and the daemon owns one of scf results, so
+``pool_entries`` and the byte budget are per pool.  The daemon sends
+every spectrum group that reads or builds a key to the lane that first
+built it, so a ground state lives in one pool and only its lane touches
+it; the daemon reads lane pool counts from what each lane reports after
+a group.  The daemon's own pool is read by its io thread and filled as
+results return, so the methods are thread-safe.
 """
 
 from __future__ import annotations

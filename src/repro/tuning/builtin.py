@@ -295,7 +295,7 @@ def _ensemble_tunable() -> Tunable:
     return Tunable(
         tunable_id="ensemble.swarm",
         space=ParamSpace((
-            Choice("batch_size", (8, 16, 32, 64)),
+            Choice("batch_size", (8, 16, 32, 64, 128, 256)),
         )),
         defaults=default_params("ensemble.swarm"),
         description="FSSH trajectory-swarm batch size",

@@ -36,7 +36,7 @@ DEFAULT_PARAMS: Mapping[str, Params] = {
     "parallel.executor": {"backend": "serial", "workers": 1, "chunk_size": 1},
     "multigrid.poisson": {"smoother": "rbgs", "pre_sweeps": 2,
                           "post_sweeps": 2},
-    "ensemble.swarm": {"batch_size": 32},
+    "ensemble.swarm": {"batch_size": 256},
 }
 
 

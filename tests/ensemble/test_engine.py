@@ -12,6 +12,7 @@ from repro.ensemble import (
     resolve_batch_size,
     run_ensemble,
 )
+from repro.ensemble.engine import EnsembleMember
 from repro.qxmd.sh_kernels import HopPolicy
 from repro.resilience.checkpointing import (
     CheckpointCorruptError,
@@ -47,7 +48,42 @@ class TestConfig:
     def test_resolve_batch_size_from_profile_default(self):
         # With no tuning cache applied the profile falls back to the
         # canonical default table.
-        assert resolve_batch_size(EnsembleConfig()) == 32
+        assert resolve_batch_size(EnsembleConfig()) == 256
+
+
+class TestPacking:
+    def test_a_serial_group_is_one_task_and_one_round(self):
+        """A served ensemble group's shape: 3 jobs x 16 trajectories."""
+        members = [EnsembleMember(16, 3, seed) for seed in (1, 2, 3)]
+        with EnsembleRun(PATH, EnsembleConfig(), members=members) as run:
+            assert run.batch_size == 48
+            assert len(run.batches) == 1
+            assert run.rounds_remaining == 1
+
+    def test_each_worker_of_a_round_gets_a_task(self):
+        with EnsembleRun(PATH, EnsembleConfig(ntraj=256), backend="thread",
+                         workers=2) as run:
+            assert run.batch_size == 128
+            assert [sum(seg.hi - seg.lo for seg in task)
+                    for task in run.batches] == [128, 128]
+            assert run.rounds_remaining == 1
+
+    def test_batch_size_caps_the_width(self):
+        with EnsembleRun(PATH, EnsembleConfig(ntraj=48, batch_size=8)) as run:
+            assert len(run.batches) == 6
+        with EnsembleRun(PATH, EnsembleConfig(ntraj=600)) as run:
+            assert [sum(seg.hi - seg.lo for seg in task)
+                    for task in run.batches] == [256, 256, 88]
+
+    def test_checkpoint_fingerprint_carries_the_width(self, tmp_path):
+        ckpt = tmp_path / "partial.npz"
+        with EnsembleRun(PATH, EnsembleConfig(ntraj=16, seed=44)) as run:
+            run.save_state(ckpt)
+        with EnsembleRun(PATH, EnsembleConfig(ntraj=16, seed=44),
+                         round_size=2) as run:
+            assert run.batch_size == 8
+            with pytest.raises(CheckpointCorruptError, match="fingerprint"):
+                run.load_state(ckpt)
 
 
 class TestRounds:

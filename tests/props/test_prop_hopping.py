@@ -10,15 +10,19 @@ Three invariant families from the issue spec:
 
 Plus the load-bearing contract of the whole ensemble engine: every
 kernel's row ``t`` is bit-identical between a batched call and the
-single-row call; and the one source of each amplitude kernel gives the
-same bits on the strict substrate as on NumPy.
+single-row call; the one source of each amplitude kernel gives the
+same bits on the strict substrate as on NumPy; and the RK4 kernel gives
+the bits of its per-state reference formulation, kept below.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import get_backend, to_numpy
+from repro.constants import HBAR
+from repro.ensemble.path import model_path
 from repro.qxmd.sh_kernels import (
     HopPolicy,
     apply_edc_batch,
@@ -263,3 +267,61 @@ def test_batched_rows_bit_identical_to_single(seed, ntraj, nstates, dt):
             apply_edc_batch(np, prop[row], active[row], energies, dt,
                             kinetic[row], 0.1)[0],
         )
+
+
+# --------------------------------------------------------------------- #
+# the RK4 kernel against its per-state reference, byte for byte
+# --------------------------------------------------------------------- #
+def _reference_apply_nac(xp, c, nac):
+    """``nac @ c[t]`` per row: one multiply and one add per state,
+    summed from zero in state order."""
+    ntraj, nstates = c.shape
+    acc = xp.zeros((ntraj, nstates), dtype=xp.complex128)
+    for k in range(nstates):
+        acc = acc + c[:, k, None] * nac[None, :, k]
+    return acc
+
+
+def _reference_derivative(xp, c, energies, nac):
+    return (-1j / HBAR) * energies[None, :] * c - _reference_apply_nac(
+        xp, c, nac)
+
+
+def _reference_propagate(xp, c, energies, nac, dt, substeps):
+    """RK4 with the phase factor and the NAC products formed per stage."""
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = _reference_derivative(xp, c, energies, nac)
+        k2 = _reference_derivative(xp, c + 0.5 * h * k1, energies, nac)
+        k3 = _reference_derivative(xp, c + 0.5 * h * k2, energies, nac)
+        k4 = _reference_derivative(xp, c + h * k3, energies, nac)
+        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return c / batched_norm(xp, c)[:, None]
+
+
+REFERENCE_PATH = model_path(nsteps=3, nstates=4, dt=1.0, seed=7,
+                            coupling=0.08)
+
+
+@pytest.mark.parametrize("start", ["random", "one_hot"])
+@pytest.mark.parametrize("ntraj", [1, 16, 48, 256])
+def test_rk4_equals_the_per_state_reference_bytewise(ntraj, start):
+    """Every row, at every width, on random amplitudes and on one-hot
+    starts, whose NAC products hold signed zeros."""
+    path = REFERENCE_PATH
+    if start == "random":
+        c, _, _ = random_swarm(ntraj, ntraj, path.nstates)
+    else:
+        rng = np.random.default_rng(ntraj)
+        c = np.zeros((ntraj, path.nstates), dtype=np.complex128)
+        c[np.arange(ntraj), rng.integers(0, path.nstates, ntraj)] = 1.0
+        products = c[:, :, None] * path.nac[0].T[None, :, :]
+        assert np.any((products.real == 0.0) & np.signbit(products.real))
+    for s in range(path.nsteps):
+        got = propagate_amplitudes_batch(np, c, path.energies[s],
+                                         path.nac[s], path.dt, 20)
+        want = _reference_propagate(np, c, path.energies[s], path.nac[s],
+                                    path.dt, 20)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), s
+        c = got

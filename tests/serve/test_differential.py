@@ -25,6 +25,7 @@ import pytest
 
 import repro.serve.daemon as daemon_module
 from repro.ensemble import EnsembleConfig, run_ensemble
+from repro.obs import tracing
 from repro.serve import BatchPolicy, DaemonHandle, ServeClient, ServeConfig
 from repro.serve import workloads
 from repro.serve.jobs import validate_job
@@ -74,7 +75,7 @@ def ensemble_reference(params):
         ntraj=int(full["ntraj"]),
         seed=int(full["seed"]),
         istate=(int(full["nstates"]) - 1 if istate is None else int(istate)),
-        batch_size=int(full["batch_size"]),
+        batch_size=full["batch_size"],
         substeps=int(full["substeps"]),
     ))
     return workloads.ensemble_payload(result)
@@ -91,6 +92,34 @@ def assert_payloads_bitwise_equal(got, want):
 
 
 class TestEnsemble:
+    def test_a_default_group_is_one_stacked_sweep(self, served):
+        """A coalesced 3 x 16 group runs as one task in one round, and
+        answers what explicit widths 8 and 32 and one-shot runs answer,
+        byte for byte."""
+        _, client = served
+        sweep = {**ENS, "ntraj": 16}
+        del sweep["batch_size"]
+        seeds = (61, 62, 63)
+
+        def submit(**extra):
+            return client.submit([
+                {"kind": "ensemble", "memoize": False,
+                 "params": {**sweep, **extra, "seed": seed}}
+                for seed in seeds])
+
+        with tracing() as tracer:
+            default = submit()
+        rounds = [r.args for r in tracer.records
+                  if r.name == "ensemble.round" and r.args["ntraj"] == 48]
+        assert [(a["batches"], a["members"]) for a in rounds] == [(1, 3)]
+        assert [r["meta"]["coalesced"] for r in default] == [3, 3, 3]
+        for width in (8, 32):
+            for got, want in zip(default, submit(batch_size=width)):
+                assert_payloads_bitwise_equal(got["result"], want["result"])
+        for got, seed in zip(default, seeds):
+            assert_payloads_bitwise_equal(
+                got["result"], ensemble_reference({**sweep, "seed": seed}))
+
     def test_singleton_equals_one_shot(self, served):
         _, client = served
         got = client.run_job("ensemble", {**ENS, "seed": 41})

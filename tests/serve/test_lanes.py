@@ -6,8 +6,10 @@ with two lanes, every answer bitwise-equal to the one-shot
 ``repro.serve.workloads`` computation.  Then the lane lifecycle: a lane
 process killed mid-group, a hung lane, a long group whose rounds each
 fit their deadline (not hung), a deadline inside a lane, drain while a
-lane starts, routing by warm key, ``invalidate`` and ``stats`` across
-lanes, and lane spans in the daemon's trace.
+lane starts, group scratch removed on both lanes, routing spectra by
+warm key, warm scf answered by the daemon without a lane,
+``invalidate`` and ``stats`` across lanes, and lane spans in the
+daemon's trace.
 
 Lane 0 is the daemon's in-process thread, so a test can hold it inside
 one gated job (:func:`occupy_lane0`) and every other group then runs on
@@ -80,11 +82,15 @@ def lanes(client):
 
 def children():
     """Pids of this process's live children."""
-    pids = set()
-    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
-        with open(path) as f:
-            pids.update(int(p) for p in f.read().split())
-    return pids
+    while True:
+        pids = set()
+        try:
+            for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+                with open(path) as f:
+                    pids.update(int(p) for p in f.read().split())
+        except FileNotFoundError:
+            continue  # a thread exited mid-scan: its children moved; rescan
+        return pids
 
 
 def gone(pid, timeout_s=5.0):
@@ -422,6 +428,86 @@ class TestLaneFailures:
         assert held["reply"][0]["status"] == "ok"  # in flight: finished
         assert out["reply"][0]["error"]["type"] == "ServerShutdown"
         assert children() <= before  # the starting lane was joined
+
+
+class TestScratch:
+    def test_group_directories_go_when_their_groups_return(
+            self, tmp_path, monkeypatch):
+        """Supervised groups on both lanes, one of them answered
+        ``DeadlineExceeded`` as hung, leave no group directory behind."""
+        monkeypatch.setattr(daemon_module, "HANG_GRACE_S", 0.2)
+        hung = {"kind": "ensemble", "memoize": False, "deadline_s": 0.3,
+                "params": {**ENS, "seed": 41}}
+        with serving(tmp_path) as (handle, client):
+            (ok0,) = client.submit([{"kind": "run", "memoize": False,
+                                     "params": {**RUN, "seed": 3}}])
+            with slow_rounds(handle.daemon._lanes[0], 1.0):
+                (expired,) = client.submit([hung])
+                wait_until(lambda: not lanes(client)[0]["busy"],
+                           what="lane 0's hung group to return")
+            with occupy_lane0(client):
+                (ok1,) = client.submit([{"kind": "run", "memoize": False,
+                                         "params": {**RUN, "seed": 4}}])
+                assert lanes(client)[1]["groups"] == 1
+            scratch = tmp_path / "scratch"
+            assert sorted(p.name for p in scratch.iterdir()) == \
+                ["lane0", "lane1"]
+            assert list(scratch.glob("lane*/*")) == []
+        assert ok0["status"] == ok1["status"] == "ok", (ok0, ok1)
+        assert expired["error"]["type"] == "DeadlineExceeded", expired
+        assert "serve.group" in expired["error"]["message"]
+
+
+class TestWarmScf:
+    JOB = {"kind": "scf", "memoize": False,
+           "params": {**SCF, "separation": 1.3, "seed": 5}}
+
+    def test_a_repeat_is_answered_while_both_lanes_compute(self, tmp_path):
+        """The daemon's pool answers a warm scf repeat at admission: it
+        waits for no lane, not even the one that computed it."""
+        with serving(tmp_path) as (handle, client):
+            (cold,) = client.submit([self.JOB])
+            impatient = ServeClient(handle.config.socket_path, timeout_s=10)
+            with occupy_lane0(client):
+                client.submit([spectrum_job(14, 20)])  # starts lane 1
+                with slow_rounds(handle.daemon._lanes[1], 2.0):
+                    thread, out = submit_in_background(client, [
+                        {"kind": "ensemble", "memoize": False,
+                         "params": {**ENS, "seed": 33}}])
+                    wait_until(lambda: lanes(client)[1]["busy"],
+                               what="lane 1 computing")
+                    (warm,) = impatient.submit([self.JOB])
+                    busy = [lane["busy"] for lane in lanes(client)]
+                    thread.join(60)
+            stats = client.stats()
+        assert cold["meta"]["warm"] is False
+        assert warm["status"] == "ok" and warm["meta"]["warm"] is True
+        assert busy == [True, True]
+        assert out["reply"][0]["status"] == "ok", out
+        assert_bitwise(warm["result"], one_shot(self.JOB, tmp_path), "warm")
+        assert stats["metrics"]["warm_hits"] == 1
+        # The pool totals count the daemon's pool; no lane holds scf.
+        assert stats["pool"]["hits"] == 1 and stats["pool"]["entries"] == 2
+        assert [lane["pool"]["entries"] for lane in stats["lanes"]] == [0, 1]
+
+    def test_invalidate_drops_the_daemon_pool_at_once(self, tmp_path):
+        with serving(tmp_path) as (handle, client):
+            client.submit([self.JOB])
+            impatient = ServeClient(handle.config.socket_path, timeout_s=10)
+            with occupy_lane0(client):
+                dropped = impatient.invalidate(scope="pool", key=None)
+                assert dropped == {"pool": 1, "artifacts": 0}
+                assert client.stats()["pool"]["entries"] == 0
+            (again,) = client.submit([self.JOB])
+        assert again["meta"]["warm"] is False
+        assert_bitwise(again["result"], one_shot(self.JOB, tmp_path), "cold")
+
+    def test_without_a_store_every_scf_result_is_pooled(self, tmp_path):
+        job = {k: v for k, v in self.JOB.items() if k != "memoize"}
+        with serving(tmp_path, artifact_root=None) as (_, client):
+            replies = client.submit([job]) + client.submit([job])
+        assert [r["meta"]["warm"] for r in replies] == [False, True]
+        assert_bitwise(replies[1]["result"], replies[0]["result"], "repeat")
 
 
 class TestRouting:
