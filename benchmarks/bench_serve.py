@@ -7,9 +7,11 @@ three serving claims to numbers:
 
 - **latency under load**: client-observed per-job latency (p50/p99) and
   jobs/sec at 1x, 4x and 16x concurrent clients submitting ensemble
-  jobs to a batching daemon;
+  jobs to a batching daemon (on one lane, see below);
 - **batching wins at load**: the same 16x workload through a coalescing
-  daemon (``max_batch=16``) vs a singleton daemon (``max_batch=1``).
+  daemon (``max_batch=16``) vs a singleton daemon (``max_batch=1``),
+  both on one lane, so the singleton daemon gains no parallelism that
+  coalescing does not need and the ratio measures coalescing alone.
   Coalescing must deliver at least ``MIN_BATCH_SPEEDUP`` (1.3x) more
   jobs/sec -- asserted in-bench;
 - **warm-state reuse**: cold scf jobs (pool invalidated before each) vs
@@ -53,7 +55,11 @@ MAX_WARM_OVER_COLD = 0.5
 
 
 @contextlib.contextmanager
-def _daemon(root: pathlib.Path, name: str, max_batch: int):
+def _daemon(root: pathlib.Path, name: str, max_batch: int,
+            one_lane: bool = False):
+    """A daemon on this process's threads; ``one_lane`` fixes its lane
+    count at 1, whatever the host's CPUs."""
+    import repro.serve.daemon as daemon_module
     from repro.serve import BatchPolicy, DaemonHandle, ServeClient, ServeConfig
 
     config = ServeConfig(
@@ -63,8 +69,14 @@ def _daemon(root: pathlib.Path, name: str, max_batch: int):
         policy=BatchPolicy(max_batch=max_batch),
         max_queue=256,
     )
-    with DaemonHandle(config):
-        yield ServeClient(config.socket_path, timeout_s=300)
+    lane_count = daemon_module.lane_count
+    if one_lane:
+        daemon_module.lane_count = lambda: 1
+    try:
+        with DaemonHandle(config):
+            yield ServeClient(config.socket_path, timeout_s=300)
+    finally:
+        daemon_module.lane_count = lane_count
 
 
 def _run_load(client, clients: int, jobs_each: int,
@@ -112,8 +124,8 @@ def emit_serve():
     with tempfile.TemporaryDirectory(prefix="bench-serve-") as tmp:
         root = pathlib.Path(tmp)
 
-        # -- latency under load (batching daemon) ---------------------- #
-        with _daemon(root, "batched", max_batch=16) as client:
+        # -- latency under load (batching daemon, one lane) ------------- #
+        with _daemon(root, "batched", max_batch=16, one_lane=True) as client:
             client.run_job("ensemble", {**ENS, "seed": 1},
                            memoize=False)  # warm-up (imports on worker)
             for clients, jobs_each in LOAD_LEVELS:
@@ -130,8 +142,8 @@ def emit_serve():
                 }
             batched_wall = kernels["serve_load_16x"]["time_s"]
 
-        # -- batched vs unbatched at 16x load -------------------------- #
-        with _daemon(root, "singleton", max_batch=1) as client:
+        # -- batched vs unbatched at 16x load, both on one lane --------- #
+        with _daemon(root, "singleton", max_batch=1, one_lane=True) as client:
             client.run_job("ensemble", {**ENS, "seed": 1}, memoize=False)
             clients, jobs_each = LOAD_LEVELS[-1]
             unbatched_wall, lats = _run_load(client, clients, jobs_each,

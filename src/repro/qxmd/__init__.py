@@ -20,8 +20,6 @@ from repro.qxmd.forces import ForceCalculator, ForceBreakdown
 from repro.qxmd.md import VelocityVerlet, MDState, kinetic_energy, temperature
 from repro.qxmd.mixing import LinearMixer, PulayMixer, make_mixer
 from repro.qxmd.itp import imaginary_time_ground_state
-from repro.qxmd.xc_spin import lsda_exchange_correlation
-from repro.qxmd.scf_spin import SpinSCFResult, scf_solve_spin, spin_occupations
 
 __all__ = [
     "lda_exchange_correlation",
@@ -52,8 +50,4 @@ __all__ = [
     "PulayMixer",
     "make_mixer",
     "imaginary_time_ground_state",
-    "lsda_exchange_correlation",
-    "SpinSCFResult",
-    "scf_solve_spin",
-    "spin_occupations",
 ]

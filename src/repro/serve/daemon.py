@@ -5,28 +5,29 @@ Event-loop discipline (enforced lexically by statlint's DCL017): the
 ``async`` bodies here never block -- they parse lines, route jobs and
 await futures.  Blocking work runs on threads: the *io thread* does
 every artifact-store read and write and all other file I/O, and each
-lane computes on a thread of its own.
+lane is driven by a thread of its own that waits on its pipe.
 
-Lanes.  A lane computes one coalesced group at a time and owns, for its
-whole life, a warm-state pool of ``pool_entries`` entries for spectrum
-ground states and a scratch directory (:class:`LaneState`); a group's
+Lanes.  A lane is an :class:`~repro.parallel.owned.OwnedWorker` process
+that computes one coalesced group at a time and owns, for its whole
+life, a warm-state pool of ``pool_entries`` entries for spectrum ground
+states and a scratch directory (:class:`LaneState`); a group's
 supervisor checkpoints live under that directory until the group
-returns.  There is one lane per CPU in
-``os.sched_getaffinity``.  Lane 0 is the daemon's own worker thread, the
-in-process path a 1-CPU host and any one-request-at-a-time load run.
-Lanes 1.. are :class:`~repro.parallel.owned.OwnedWorker` processes, each
-driven by a daemon thread that waits on its pipe; one starts only when a
-group is waiting and every started lane is busy, so nothing but the
-daemon runs until load needs a second core.  Every lane runs the same
+returns.  There is one lane per CPU in ``os.sched_getaffinity``.  A
+lane starts only when a group is waiting and no started lane is idle,
+so nothing but the daemon runs before the first group, and the
+daemon's own process never computes.  Every lane runs the same
 :meth:`LaneState.execute` against its own pool.
 
-Routing.  A spectrum group goes to the lane that first built its warm
-key (:func:`repro.serve.jobs.warm_key`), and waits for that lane while
-it is busy, so a pooled ground state and its recorded propagation live
-in one lane only and no lock guards them across lanes.  Any other group
-goes to the idle ready lane with the least busy time.  Jobs that wait
-for a lane join a waiting group of their batch key (up to
-``max_batch``), so load still coalesces while every lane is busy.
+Routing.  Each lane reports its pool's keys with every group it
+returns.  A spectrum group goes to the lane that holds its warm key
+(:func:`repro.serve.jobs.warm_key`) -- in that lane's last report, or
+in the group it is computing -- and waits for that lane while it is
+busy, so a pooled ground state and its recorded propagation live in
+one lane only and no lock guards them across lanes.  Any other group,
+and a spectrum group whose key no lane holds, goes to the idle ready
+lane with the least busy time.  Jobs that wait for a lane join a
+waiting group of their batch key (up to ``max_batch``), so load still
+coalesces while every lane is busy.
 
 Job lifecycle::
 
@@ -53,23 +54,22 @@ computes a group: at dispatch it runs to the sum of the group's
 deadlines, and every deadline scope the lane arms (a supervisor
 segment or ensemble round, a retry's relaxed budget, an scf solve, a
 spectrum extension) extends it to that scope's expiry.  A lane still
-busy :data:`HANG_GRACE_S` past its lease is hung: its group's jobs are
-answered ``DeadlineExceeded``, and a lane process is killed.  A thread
-cannot be killed, so lane 0 stays busy until its group returns.  A
-lane process that dies answers its group's jobs with a typed
-``WorkerCrashError``; its routes are dropped, and the next start gives
-an empty replacement.
+busy :data:`HANG_GRACE_S` past its lease is hung: its process is
+killed and its group's jobs are answered ``DeadlineExceeded``.  A lane
+process that dies answers its group's jobs with a typed
+``WorkerCrashError``; its keys die with it, and the next start gives an
+empty replacement.
 
 ``stats`` reports ``metrics`` and ``pool`` summed over the daemon's
 pool and every lane's, plus a ``lanes`` list (pid, status, groups, busy
 seconds, pool counts and the lane's peak resident set, VmHWM).
-``invalidate`` drops the daemon's pool at once and reaches every
-started lane: lane 0's thread-safe pool from the io thread, at once,
-and a lane process's pool on its lane thread, after the group in
-flight.  While a
-tracer is installed in the daemon's process, lane 0 records into it
-directly, and a lane process returns its spans with each group result,
-rebased onto that tracer's epoch and tagged ``lane``.
+``invalidate`` drops the daemon's pool and answers for every lane at
+once, from the lanes' reports; it queues the drop on each started
+lane's thread, where it lands after the group in flight and before the
+next, and a group that returns in between has the keys of the drops
+still queued for its lane taken out of its report.  While a tracer is
+installed in the daemon's process, a lane returns its spans with each
+group result, rebased onto that tracer's epoch and tagged ``lane``.
 
 A request line longer than the stream limit (asyncio's 64 KiB) cannot
 be framed: it gets a typed ``ProtocolError`` response and the
@@ -93,7 +93,6 @@ import shutil
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -144,10 +143,6 @@ _SENTINEL: Any = object()
 #: Deadlines are checked between steps, so a healthy lane raises
 #: ``DeadlineExceeded``, or arms its next budget, well inside this grace.
 HANG_GRACE_S = 30.0
-
-#: Warm keys the router remembers (least recently dispatched go first;
-#: a forgotten key is rebuilt on whichever lane takes it next).
-_MAX_ROUTES = 4096
 
 
 def lane_count() -> int:
@@ -262,24 +257,28 @@ class GroupOutcome:
 
     An answer is ``("ok", payload, meta)`` or ``("error", response)``.
     ``counts`` are this group's increments of the lane-side counters;
-    ``pool`` and ``vmhwm_mb`` are the lane's totals after the group.
+    ``pool``, ``keys`` (each pooled key's footprint) and ``vmhwm_mb``
+    are the lane's state after the group.
     """
 
     answers: List[Tuple[Any, ...]]
     counts: Dict[str, int]
     pool: Dict[str, int]
+    keys: Dict[str, int]
     vmhwm_mb: float
     spans: List[SpanRecord] = field(default_factory=list)
     epoch: float = 0.0
 
 
 class LaneState:
-    """What one lane owns for its whole life: its warm pool and scratch.
+    """What a lane process owns for its whole life: its warm pool and
+    scratch.
 
     Each deadline scope a group arms extends ``lease`` to its expiry.  A
     group's scratch directory holds its supervisor checkpoints, which
     only recovery inside the group reads, so it is removed when the
-    group returns.
+    group returns; a lane process that starts removes what a killed
+    one left in its lane's scratch.
     """
 
     def __init__(self, config: LaneConfig, lease: Lease) -> None:
@@ -288,6 +287,7 @@ class LaneState:
         self.pool = WarmStatePool(max_entries=config.pool_entries,
                                   max_bytes=config.pool_max_bytes)
         self.scratch = pathlib.Path(config.scratch_root) / f"lane{config.index}"
+        shutil.rmtree(self.scratch, ignore_errors=True)
         self._exec_counter = itertools.count(1)
 
     def execute(self, specs: Tuple[JobSpec, ...]) -> GroupOutcome:
@@ -315,7 +315,7 @@ class LaneState:
             finally:
                 shutil.rmtree(scratch, ignore_errors=True)
         return GroupOutcome([answers[s.job_id] for s in specs], counts,
-                            self.pool.stats(), _vmhwm_mb())
+                            self.pool.stats(), self.pool.keys(), _vmhwm_mb())
 
     def _compute(
         self, kind: str, specs: List[JobSpec], counts: Dict[str, int],
@@ -451,92 +451,94 @@ def _lane_execute(config: LaneConfig, specs: Tuple[JobSpec, ...],
     return outcome
 
 
-def _lane_invalidate(config: LaneConfig,
-                     key: Optional[str]) -> Tuple[int, Dict[str, int]]:
-    """Drop pooled entries of a lane; returns (dropped, pool stats)."""
-    pool = _lane(config).pool
-    return pool.invalidate(key), pool.stats()
+def _lane_invalidate(config: LaneConfig, key: Optional[str]) -> None:
+    """Drop a lane's pooled entry ``key`` (every entry with ``None``)."""
+    _lane(config).pool.invalidate(key)
 
 
 class _Lane:
-    """The daemon's handle on one lane and the last counts it reported.
+    """The daemon's handle on one lane process and what it last reported.
 
     ``status`` is ``stopped`` (no process yet, or it died), ``starting``,
     ``ready`` or ``broken`` (its process would not start).  Every call
-    into the lane runs on its own thread, in submission order.
+    into the lane runs on its own thread, in submission order.  ``keys``
+    maps each key the lane pools to its footprint, as its last report
+    gave them less the drops queued since; ``drops`` are the keys of
+    drops queued on the lane thread that have not landed yet.
     """
 
     def __init__(self, config: LaneConfig) -> None:
         self.config = config
         self.index = config.index
-        in_process = config.index == 0
-        self.worker = (None if in_process
-                       else OwnedWorker(f"serve-lane-{config.index}"))
-        #: Runs to when the group in flight promised to be done.
-        self.lease = Lease() if self.worker is None else self.worker.lease
-        self.state = LaneState(config, self.lease) if in_process else None
+        self.worker = OwnedWorker(f"serve-lane-{config.index}")
         self.thread = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix="serve-exec" if in_process
-            else f"serve-lane{config.index}",
-        )
-        self.status = "ready" if in_process else "stopped"
+            max_workers=1, thread_name_prefix=f"serve-lane{config.index}")
+        self.status = "stopped"
         self.group: Optional["_Group"] = None
         self.groups = 0
         self.busy_s = 0.0
         self.pool: Dict[str, int] = WarmStatePool().stats()
+        self.keys: Dict[str, int] = {}
+        self.drops: List[Optional[str]] = []
         self.vmhwm_mb = 0.0
 
     @property
     def idle(self) -> bool:
         return self.status == "ready" and self.group is None
 
-    @property
-    def pid(self) -> Optional[int]:
-        return os.getpid() if self.worker is None else self.worker.pid
+    def holds(self, key: str) -> bool:
+        """Whether the lane pools ``key`` or computes a group of it now."""
+        return key in self.keys or (self.group is not None
+                                    and self.group.key == key)
+
+    def report(self, pool: Dict[str, int], keys: Dict[str, int]) -> None:
+        """Take what the lane reported, less the drops still queued."""
+        self.pool = pool
+        self.keys = keys
+        for key in self.drops:
+            self.forget(key)
+
+    def forget(self, key: Optional[str]) -> int:
+        """Take ``key`` (every key with ``None``) out of the report;
+        returns how many went."""
+        if key is None:
+            gone = len(self.keys)
+            self.keys = {}
+            return gone
+        return 0 if self.keys.pop(key, None) is None else 1
 
     # -- lane thread ---------------------------------------------------- #
     def start(self) -> int:
-        assert self.worker is not None
         return int(self.worker.call(_lane_ready, self.config))
 
     def execute(self, specs: Tuple[JobSpec, ...], trace: bool) -> GroupOutcome:
         """Compute one group (on the lane thread)."""
-        if self.state is not None:
-            return self.state.execute(specs)
-        assert self.worker is not None
         outcome: GroupOutcome = self.worker.call(_lane_execute, self.config,
                                                  specs, trace)
         return outcome
 
-    def invalidate(self, key: Optional[str]) -> Tuple[int, Dict[str, int]]:
-        """Drop pooled entries (lane 0's pool is thread-safe: any thread)."""
-        if self.state is not None:
-            return self.state.pool.invalidate(key), self.state.pool.stats()
-        assert self.worker is not None
-        if not self.worker.alive:
-            return 0, self.pool
-        result: Tuple[int, Dict[str, int]] = self.worker.call(
-            _lane_invalidate, self.config, key)
-        return result
+    def drop(self, key: Optional[str]) -> None:
+        """Drop pooled entries in the lane process (a dead one's pool
+        died with it)."""
+        if self.worker.alive:
+            self.worker.call(_lane_invalidate, self.config, key)
 
     def close(self) -> None:
-        if self.worker is not None:
-            self.worker.close()
+        self.worker.close()
 
     # -- loop thread ---------------------------------------------------- #
     def snapshot(self) -> Dict[str, Any]:
-        in_process = self.worker is None
         return {
             "lane": self.index,
-            "pid": self.pid,
+            "pid": self.worker.pid,
             "status": self.status,
             "busy": self.group is not None,
             "groups": self.groups,
             "busy_s": self.busy_s,
-            "restarts": 0 if in_process else self.worker.restarts,
-            "pool": dict(self.pool),
-            "vmhwm_mb": _vmhwm_mb() if in_process else self.vmhwm_mb,
+            "restarts": self.worker.restarts,
+            "pool": dict(self.pool, entries=len(self.keys),
+                         bytes=sum(self.keys.values())),
+            "vmhwm_mb": self.vmhwm_mb,
         }
 
 
@@ -610,7 +612,6 @@ class ServeDaemon:
         self._lanes: List[_Lane] = []
         self._lanes_closed = False
         self._waiting: List[_Group] = []
-        self._routes: "OrderedDict[str, int]" = OrderedDict()
         self._tasks: Set["asyncio.Future[Any]"] = set()
 
     # ------------------------------------------------------------------ #
@@ -769,19 +770,12 @@ class ServeDaemon:
         if scope in ("pool", "all"):
             key = request.get("key")
             dropped_pool = self.pool.invalidate(key)
-            lanes = [lane for lane in self._lanes
-                     if lane.status in ("ready", "starting")]
-            # Lane 0 answers even while its thread computes (or hangs).
-            results = await asyncio.gather(
-                *(loop.run_in_executor(
-                    self._io if lane.worker is None else lane.thread,
-                    lane.invalidate, key) for lane in lanes),
-                return_exceptions=True)
-            for lane, result in zip(lanes, results):
-                if isinstance(result, BaseException):
-                    continue  # a dead lane's pool died with it
-                dropped, lane.pool = result
-                dropped_pool += dropped
+            for lane in self._lanes:
+                dropped_pool += lane.forget(key)
+                if (lane.status in ("ready", "starting")
+                        and not self._lanes_closed):
+                    lane.drops.append(key)
+                    self._spawn(self._drop_on_lane(lane, key))
         if scope in ("artifacts", "all") and self.store is not None:
             dropped_artifacts = await loop.run_in_executor(
                 self._io, self.store.clear
@@ -789,6 +783,16 @@ class ServeDaemon:
         return {"protocol": PROTOCOL, "status": "ok", "op": "invalidate",
                 "dropped": {"pool": dropped_pool,
                             "artifacts": dropped_artifacts}}
+
+    async def _drop_on_lane(self, lane: _Lane, key: Optional[str]) -> None:
+        """Apply a drop in the lane process, after its group in flight."""
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                lane.thread, lane.drop, key)
+        except WorkerCrashError:
+            pass  # the lane died: its pool died with it
+        finally:
+            lane.drops.remove(key)
 
     async def _op_submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         raw_jobs = request.get("jobs")
@@ -938,10 +942,8 @@ class ServeDaemon:
         i = 0
         while i < len(self._waiting):
             group = self._waiting[i]
-            owner = None if group.key is None else self._routes.get(group.key)
-            if owner is not None:
-                lane: Optional[_Lane] = self._lanes[owner]
-            else:
+            lane = self._owner(group)
+            if lane is None:
                 lane = min((ln for ln in self._lanes if ln.idle),
                            key=lambda ln: ln.busy_s, default=None)
             if lane is None or not lane.idle:
@@ -952,12 +954,18 @@ class ServeDaemon:
         if self._waiting:
             self._maybe_start_lane()
 
+    def _owner(self, group: _Group) -> Optional[_Lane]:
+        """The lane that holds a spectrum group's warm key, if any."""
+        if group.key is None:
+            return None
+        return next((ln for ln in self._lanes if ln.holds(group.key)), None)
+
     def _maybe_start_lane(self) -> None:
-        """Start one lane when an unrouted group waits and none is idle."""
+        """Start one lane when an unowned group waits and none is idle."""
         if any(ln.idle or ln.status == "starting" for ln in self._lanes):
             return
-        if all(g.key in self._routes for g in self._waiting):
-            return  # every waiting group waits for its owner lane
+        if all(self._owner(g) is not None for g in self._waiting):
+            return  # every waiting group waits for the lane holding its key
         lane = next((ln for ln in self._lanes if ln.status == "stopped"),
                     None)
         if lane is not None:
@@ -977,11 +985,6 @@ class ServeDaemon:
         self._pump()
 
     def _dispatch_group(self, lane: _Lane, group: _Group) -> None:
-        if group.key is not None:
-            self._routes[group.key] = lane.index
-            self._routes.move_to_end(group.key)
-            while len(self._routes) > _MAX_ROUTES:
-                self._routes.popitem(last=False)
         lane.group = group
         self.metrics.bump("groups")
         if len(group.specs) > 1:
@@ -991,15 +994,14 @@ class ServeDaemon:
     async def _run_group(self, lane: _Lane, group: _Group) -> None:
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
-        ship_spans = tracer.enabled and lane.worker is not None
         t0 = time.monotonic()
-        lane.lease.set(t0 + group.deadline_s)
-        self._watch(lane, group, t0)
+        lane.worker.lease.set(t0 + group.deadline_s)
+        self._watch(lane, group)
         outcome: Optional[GroupOutcome] = None
         failure: Optional[BaseException] = None
         try:
             outcome = await loop.run_in_executor(
-                lane.thread, lane.execute, group.specs, ship_spans)
+                lane.thread, lane.execute, group.specs, tracer.enabled)
         except Exception as exc:  # dclint: disable=DCL004 -- answered per job, typed
             failure = exc
         finally:
@@ -1012,14 +1014,11 @@ class ServeDaemon:
         self.metrics.time_spent(exec_s=elapsed)
         if isinstance(failure, WorkerCrashError):
             lane.status = "stopped"
-            lane.pool = WarmStatePool().stats()  # died with the process
-            for key in [k for k, i in self._routes.items()
-                        if i == lane.index]:
-                del self._routes[key]
+            lane.report(WarmStatePool().stats(), {})  # died with the process
         if outcome is not None:
             for name, by in outcome.counts.items():
                 self.metrics.bump(name, by)
-            lane.pool = outcome.pool
+            lane.report(outcome.pool, outcome.keys)
             lane.vmhwm_mb = outcome.vmhwm_mb
             if outcome.spans and tracer.enabled:
                 tracer.adopt(outcome.spans, outcome.epoch, lane=lane.index)
@@ -1033,24 +1032,19 @@ class ServeDaemon:
         assert outcome is not None
         await self._answer(group, outcome)
 
-    def _watch(self, lane: _Lane, group: _Group, t0: float) -> None:
+    def _watch(self, lane: _Lane, group: _Group) -> None:
         """Check the lane's lease at its end plus the grace, until the
-        group returns; past it, the group is hung: fail it typed."""
+        group returns; past it, the group is hung: kill the lane, whose
+        pending call then raises and the group is failed typed."""
         if lane.group is not group:
             return
-        wait_s = lane.lease.until + HANG_GRACE_S - time.monotonic()
+        wait_s = lane.worker.lease.until + HANG_GRACE_S - time.monotonic()
         if wait_s > 0:
             group.watchdog = asyncio.get_running_loop().call_later(
-                wait_s, self._watch, lane, group, t0)
+                wait_s, self._watch, lane, group)
             return
         group.hung = True
-        if lane.worker is not None:
-            lane.worker.kill()  # its pending call raises WorkerCrashError
-            return
-        # A thread cannot be killed: answer now, stay busy until it returns.
-        failure = group.expired(time.monotonic() - t0)
-        for job in group.jobs:
-            self._resolve(job, error_response(job.spec.job_id, failure))
+        lane.worker.kill()
 
     async def _answer(self, group: _Group, outcome: GroupOutcome) -> None:
         """Memoize fresh results on the io thread, then resolve the jobs."""
@@ -1066,8 +1060,6 @@ class ServeDaemon:
             self._resolve(job, response)
 
     def _resolve(self, job: _QueuedJob, response: Dict[str, Any]) -> None:
-        if job.future.done():
-            return  # a hung group's late answer
         self._pending -= 1
         job.future.set_result(response)
         status = response.get("status")

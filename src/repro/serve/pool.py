@@ -20,21 +20,22 @@ Bounded two ways: an entry-count cap and an optional byte budget
 Eviction is least-recently-used.  ``invalidate()`` supports the
 protocol's explicit cache-drop operation.
 
-Each lane of the daemon (:mod:`repro.serve.daemon`) owns one pool of
-spectrum ground states, and the daemon owns one of scf results, so
-``pool_entries`` and the byte budget are per pool.  The daemon sends
-every spectrum group that reads or builds a key to the lane that first
-built it, so a ground state lives in one pool and only its lane touches
-it; the daemon reads lane pool counts from what each lane reports after
-a group.  The daemon's own pool is read by its io thread and filled as
-results return, so the methods are thread-safe.
+Each lane process of the daemon (:mod:`repro.serve.daemon`) owns one
+pool of spectrum ground states, and the daemon owns one of scf
+results, so ``pool_entries`` and the byte budget are per pool.  A lane
+reports its pool's :meth:`~WarmStatePool.keys` and counters with every
+group it returns, and the daemon sends a spectrum group to the lane
+whose report (or group in flight) holds its key, so a ground state
+lives in one pool and only its lane touches it.  The daemon's own pool
+is read by its io thread and filled as results return, so the methods
+are thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 class WarmStatePool:
@@ -74,22 +75,6 @@ class WarmStatePool:
             self._entries.pop(key, None)
             self._entries[key] = (value, size)
             self._evict_locked(keep=key)
-
-    def get_or_create(self, key: str, factory: Callable[[], Any],
-                      nbytes: Optional[Callable[[Any], int]] = None) -> Any:
-        """Warm hit or cold build-and-pool.
-
-        The factory runs *outside* the lock (it may take seconds); two
-        racing builders both compute, last writer wins -- both values
-        are identical by construction (the key is the full stage
-        config), so the race is benign.
-        """
-        value = self.get(key)
-        if value is not None:
-            return value
-        value = factory()
-        self.put(key, value, nbytes=nbytes)
-        return value
 
     def invalidate(self, key: Optional[str] = None) -> int:
         """Drop one entry (or all with ``key=None``); returns the count."""
@@ -131,10 +116,10 @@ class WarmStatePool:
         with self._lock:
             return self._size_locked()
 
-    def keys(self) -> List[str]:
-        """Pool keys, LRU first (for diagnostics)."""
+    def keys(self) -> Dict[str, int]:
+        """Each pooled key's reported footprint, LRU first."""
         with self._lock:
-            return list(self._entries)
+            return {key: size for key, (_, size) in self._entries.items()}
 
     def stats(self) -> Dict[str, int]:
         """Counters snapshot (for the daemon's ``stats`` op)."""

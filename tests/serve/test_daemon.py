@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serve.daemon as daemon_module
 from repro.serve import (
     BatchPolicy,
     DaemonHandle,
@@ -17,8 +18,8 @@ from repro.serve import (
     ServeConfig,
     ServeError,
 )
-from repro.serve import workloads
 from repro.serve.protocol import dumps_line, loads_line
+from tests.serve.lanehooks import LaneGate
 
 #: A small-but-real ensemble job (tens of milliseconds); the coupling is
 #: strong enough that trajectories hop, so results depend on the seed.
@@ -51,17 +52,11 @@ def wait_until(predicate, timeout_s=15.0, what="condition"):
 
 
 @pytest.fixture
-def gate(monkeypatch):
-    """Blocks the worker thread inside the next ensemble job until set."""
-    event = threading.Event()
-    original = workloads.ensemble_path
-
-    def gated(params):
-        event.wait(timeout=60)
-        return original(params)
-
-    monkeypatch.setattr(workloads, "ensemble_path", gated)
-    return event
+def gate(tmp_path, monkeypatch):
+    """Holds the daemon's one lane inside its ensemble jobs until set;
+    ``gate.arm(handle.daemon._lanes[0])`` once the daemon serves."""
+    monkeypatch.setattr(daemon_module, "lane_count", lambda: 1)
+    return LaneGate(tmp_path / "gate")
 
 
 class TestOps:
@@ -252,6 +247,7 @@ class TestBackpressure:
     def test_busy_shed_when_queue_full(self, tmp_path, gate):
         with serving(tmp_path, max_queue=1,
                      policy=BatchPolicy(max_batch=1)) as (handle, client):
+            gate.arm(handle.daemon._lanes[0])
             results = {}
 
             def submit_slow():
@@ -276,6 +272,7 @@ class TestBackpressure:
     def test_drain_finishes_inflight_and_sheds_queued(self, tmp_path, gate):
         with serving(tmp_path,
                      policy=BatchPolicy(max_batch=1)) as (handle, client):
+            gate.arm(handle.daemon._lanes[0])
             results = {}
 
             def submit(name, jobs):
@@ -284,7 +281,7 @@ class TestBackpressure:
             slow = threading.Thread(target=submit, args=(
                 "inflight", [{"kind": "ensemble", "params": dict(ENS)}]))
             slow.start()
-            wait_until(lambda: client.stats()["queue_depth"] == 1,
+            wait_until(lambda: client.stats()["lanes"][0]["busy"],
                        what="in-flight job")
             queued = threading.Thread(target=submit, args=(
                 "queued", [{"kind": "ensemble",
@@ -315,6 +312,7 @@ class TestBackpressure:
     def test_submission_during_drain_refused(self, tmp_path, gate):
         with serving(tmp_path,
                      policy=BatchPolicy(max_batch=1)) as (handle, client):
+            gate.arm(handle.daemon._lanes[0])
             results = {}
 
             def submit_slow():
@@ -323,7 +321,7 @@ class TestBackpressure:
 
             t = threading.Thread(target=submit_slow)
             t.start()
-            wait_until(lambda: client.stats()["queue_depth"] == 1,
+            wait_until(lambda: client.stats()["lanes"][0]["busy"],
                        what="in-flight job")
             drainer = threading.Thread(target=client.shutdown)
             drainer.start()
@@ -339,8 +337,9 @@ class TestBackpressure:
 
 class TestCrossRequestCoalescing:
     def test_concurrent_submits_share_one_group(self, tmp_path, gate):
-        """Compatible jobs queued behind a busy worker run as one group."""
+        """Compatible jobs queued behind a busy lane run as one group."""
         with serving(tmp_path) as (handle, client):
+            gate.arm(handle.daemon._lanes[0])
             results = {}
 
             def submit(seed):
@@ -350,7 +349,7 @@ class TestCrossRequestCoalescing:
             threads = [threading.Thread(target=submit, args=(30,))]
             threads[0].start()
             wait_until(lambda: handle.daemon.metrics.snapshot()["groups"] == 1,
-                       what="first job on the worker")
+                       what="first job on the lane")
             threads += [threading.Thread(target=submit, args=(s,))
                         for s in (31, 32)]
             for t in threads[1:]:

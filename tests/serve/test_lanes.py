@@ -11,10 +11,10 @@ warm key, warm scf answered by the daemon without a lane,
 ``invalidate`` and ``stats`` across lanes, and lane spans in the
 daemon's trace.
 
-Lane 0 is the daemon's in-process thread, so a test can hold it inside
-one gated job (:func:`occupy_lane0`) and every other group then runs on
-lane 1, a separate process.  A test reaches a lane's own process through
-its worker (:func:`slow_rounds`).
+Every lane is a process of its own, so the hooks that steer a test run
+in the lanes, through their workers (:mod:`tests.serve.lanehooks`): a
+test holds lane 0 inside one gated job (:func:`occupy_lane`) and every
+other group then runs on lane 1.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ from repro.qxmd.scf import scf_solve_batch
 from repro.serve import BatchPolicy, DaemonHandle, ServeClient, ServeConfig
 from repro.serve import workloads
 from repro.serve.jobs import validate_job
+from tests.serve.lanehooks import hooked, occupy_lane, slow_rounds, wait_until
 
 ENS = {"ntraj": 4, "nsteps": 12, "nstates": 3, "coupling": 0.3,
        "batch_size": 4}
 SCF = {"grid": 8, "norb": 2, "nscf": 1, "ncg": 2}
 SPECT = {"grid": 8, "norb": 2}
 RUN = {"grid": 12, "steps": 1, "n_qd": 2, "nscf": 1, "ncg": 1}
-
-#: The ensemble seed whose path construction blocks in this process.
-HOLD_SEED = 987_654_321
 
 
 @pytest.fixture(autouse=True)
@@ -65,15 +63,6 @@ def serving(tmp_path, **overrides):
     cfg.update(overrides)
     with DaemonHandle(ServeConfig(**cfg)) as handle:
         yield handle, ServeClient(cfg["socket_path"], timeout_s=120)
-
-
-def wait_until(predicate, timeout_s=30.0, what="condition"):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.01)
-    raise TimeoutError(f"timed out waiting for {what}")
 
 
 def lanes(client):
@@ -105,68 +94,6 @@ def gone(pid, timeout_s=5.0):
             return True
         time.sleep(0.02)
     return False
-
-
-@contextlib.contextmanager
-def occupy_lane0(client):
-    """Hold lane 0 inside one gated ensemble job while the body runs."""
-    gate = threading.Event()
-    original = workloads.ensemble_path
-
-    def gated(params):
-        if params["seed"] == HOLD_SEED:
-            gate.wait(timeout=120)
-        return original(params)
-
-    workloads.ensemble_path = gated
-    held = {}
-    holder = threading.Thread(target=lambda: held.update(reply=client.submit(
-        [{"kind": "ensemble", "memoize": False,
-          "params": {**ENS, "seed": HOLD_SEED}}])))
-    holder.start()
-    try:
-        wait_until(lambda: lanes(client)[0]["busy"], what="lane 0 held")
-        yield held
-    finally:
-        gate.set()
-        holder.join(120)
-        workloads.ensemble_path = original
-    assert held["reply"][0]["status"] == "ok", held
-
-
-_SAVED_ROUND: dict = {}
-
-
-def _slow_rounds(seconds):
-    """Make every ensemble round ``seconds`` slower, in whichever process."""
-    from repro.ensemble.engine import EnsembleRun
-
-    original = _SAVED_ROUND.setdefault("md_step", EnsembleRun.md_step)
-
-    def slow(self):
-        time.sleep(seconds)
-        return original(self)
-
-    EnsembleRun.md_step = slow
-
-
-def _restore_rounds():
-    from repro.ensemble.engine import EnsembleRun
-
-    # A worker that replaced a killed one was never slowed.
-    EnsembleRun.md_step = _SAVED_ROUND.pop("md_step", EnsembleRun.md_step)
-
-
-@contextlib.contextmanager
-def slow_rounds(lane, seconds):
-    """Slow ``lane``'s ensemble rounds: in this process, or in its worker."""
-    call = ((lambda fn, *args: fn(*args)) if lane.worker is None
-            else lane.worker.call)
-    call(_slow_rounds, seconds)
-    try:
-        yield
-    finally:
-        call(_restore_rounds)
 
 
 # ---------------------------------------------------------------------- #
@@ -313,10 +240,29 @@ def submit_in_background(client, jobs):
     return thread, out
 
 
+class TestLaneStart:
+    def test_lanes_start_only_when_groups_wait(self, tmp_path):
+        """Nothing starts before a group waits; sequential requests
+        start lane 0 only, and no lane is the daemon's process."""
+        before = children()
+        with serving(tmp_path) as (_, client):
+            assert client.ping()
+            assert [(lane["status"], lane["pid"]) for lane in lanes(client)] \
+                == [("stopped", None)] * 2
+            assert children() == before
+            for seed in (15, 16):
+                (reply,) = client.submit([spectrum_job(seed, 20)])
+                assert reply["status"] == "ok", reply
+            lane0, lane1 = lanes(client)
+        assert lane0["status"] == "ready" and lane0["groups"] == 2
+        assert lane0["pid"] not in (None, os.getpid())
+        assert (lane1["status"], lane1["pid"]) == ("stopped", None)
+
+
 class TestLaneFailures:
     def test_killed_lane_answers_typed_and_restarts_empty(self, tmp_path):
-        with serving(tmp_path) as (_, client):
-            with occupy_lane0(client):
+        with serving(tmp_path) as (handle, client):
+            with occupy_lane(handle, client):
                 thread, out = submit_in_background(
                     client, [spectrum_job(3, 20_000)])
                 wait_until(lambda: lanes(client)[1]["busy"],
@@ -338,16 +284,19 @@ class TestLaneFailures:
             lane1 = lanes(client)[1]
             assert lane1["restarts"] == 1 and lane1["pid"] != pid
 
+    @pytest.mark.parametrize("lane", [0, 1])
     def test_hung_lane_is_killed_and_answered_deadline_exceeded(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, lane):
         monkeypatch.setattr(daemon_module, "HANG_GRACE_S", 0.5)
-        with serving(tmp_path) as (_, client):
-            with occupy_lane0(client):
+        with serving(tmp_path) as (handle, client):
+            held = (occupy_lane(handle, client) if lane == 1
+                    else contextlib.nullcontext())
+            with held:
                 thread, out = submit_in_background(
                     client, [spectrum_job(4, 20_000, deadline_s=1.5)])
-                wait_until(lambda: lanes(client)[1]["busy"],
-                           what="lane 1 computing")
-                pid = lanes(client)[1]["pid"]
+                wait_until(lambda: lanes(client)[lane]["busy"],
+                           what=f"lane {lane} computing")
+                pid = lanes(client)[lane]["pid"]
                 os.kill(pid, signal.SIGSTOP)  # wedged: no deadline checks
                 thread.join(60)
                 (reply,) = out["reply"]
@@ -358,6 +307,8 @@ class TestLaneFailures:
                 (again,) = client.submit([job])
                 assert_bitwise(again["result"], one_shot(job, tmp_path),
                                "after the hang")
+            restarted = lanes(client)[lane]
+        assert restarted["restarts"] == 1 and restarted["groups"] >= 2
 
     @pytest.mark.parametrize("lane", [0, 1])
     def test_rounds_that_each_fit_the_deadline_are_not_hung(
@@ -369,13 +320,13 @@ class TestLaneFailures:
         job = {"kind": "ensemble", "memoize": False, "deadline_s": 1.0,
                "params": {**ENS, "ntraj": 6, "batch_size": 1, "seed": 31}}
         with serving(tmp_path) as (handle, client):
-            held = (occupy_lane0(client) if lane == 1
+            held = (occupy_lane(handle, client) if lane == 1
                     else contextlib.nullcontext())
             with held:
                 if lane == 1:
                     client.submit([spectrum_job(13, 20)])  # starts lane 1
                 groups = lanes(client)[lane]["groups"]
-                with slow_rounds(handle.daemon._lanes[lane], 0.25):
+                with hooked(handle.daemon._lanes[lane], slow_rounds, 0.25):
                     t0 = time.monotonic()
                     (reply,) = client.submit([job])
                     elapsed = time.monotonic() - t0
@@ -386,8 +337,8 @@ class TestLaneFailures:
                        "slow rounds")
 
     def test_deadline_expires_inside_a_lane(self, tmp_path):
-        with serving(tmp_path) as (_, client):
-            with occupy_lane0(client):
+        with serving(tmp_path) as (handle, client):
+            with occupy_lane(handle, client):
                 (first,) = client.submit([spectrum_job(5, 20)])
                 pid = lanes(client)[1]["pid"]
                 (expired,) = client.submit(
@@ -412,7 +363,7 @@ class TestLaneFailures:
         client = ServeClient(tmp_path / "serve.sock", timeout_s=120)
         stopper = threading.Thread(target=handle.stop)
         try:
-            with occupy_lane0(client) as held:
+            with occupy_lane(handle, client) as held:
                 thread, out = submit_in_background(
                     client, [spectrum_job(6, 20)])
                 wait_until(lambda: lanes(client)[1]["status"] == "starting",
@@ -434,18 +385,19 @@ class TestScratch:
     def test_group_directories_go_when_their_groups_return(
             self, tmp_path, monkeypatch):
         """Supervised groups on both lanes, one of them answered
-        ``DeadlineExceeded`` as hung, leave no group directory behind."""
+        ``DeadlineExceeded`` as hung (its lane killed mid-group), leave
+        no group directory behind once its lane starts again."""
         monkeypatch.setattr(daemon_module, "HANG_GRACE_S", 0.2)
         hung = {"kind": "ensemble", "memoize": False, "deadline_s": 0.3,
                 "params": {**ENS, "seed": 41}}
         with serving(tmp_path) as (handle, client):
             (ok0,) = client.submit([{"kind": "run", "memoize": False,
                                      "params": {**RUN, "seed": 3}}])
-            with slow_rounds(handle.daemon._lanes[0], 1.0):
+            with hooked(handle.daemon._lanes[0], slow_rounds, 1.0):
                 (expired,) = client.submit([hung])
                 wait_until(lambda: not lanes(client)[0]["busy"],
                            what="lane 0's hung group to return")
-            with occupy_lane0(client):
+            with occupy_lane(handle, client):  # lane 0 starts again
                 (ok1,) = client.submit([{"kind": "run", "memoize": False,
                                          "params": {**RUN, "seed": 4}}])
                 assert lanes(client)[1]["groups"] == 1
@@ -453,6 +405,7 @@ class TestScratch:
             assert sorted(p.name for p in scratch.iterdir()) == \
                 ["lane0", "lane1"]
             assert list(scratch.glob("lane*/*")) == []
+            assert lanes(client)[0]["restarts"] == 1
         assert ok0["status"] == ok1["status"] == "ok", (ok0, ok1)
         assert expired["error"]["type"] == "DeadlineExceeded", expired
         assert "serve.group" in expired["error"]["message"]
@@ -468,22 +421,15 @@ class TestWarmScf:
         with serving(tmp_path) as (handle, client):
             (cold,) = client.submit([self.JOB])
             impatient = ServeClient(handle.config.socket_path, timeout_s=10)
-            with occupy_lane0(client):
+            with occupy_lane(handle, client):
                 client.submit([spectrum_job(14, 20)])  # starts lane 1
-                with slow_rounds(handle.daemon._lanes[1], 2.0):
-                    thread, out = submit_in_background(client, [
-                        {"kind": "ensemble", "memoize": False,
-                         "params": {**ENS, "seed": 33}}])
-                    wait_until(lambda: lanes(client)[1]["busy"],
-                               what="lane 1 computing")
+                with occupy_lane(handle, client, 1):
                     (warm,) = impatient.submit([self.JOB])
                     busy = [lane["busy"] for lane in lanes(client)]
-                    thread.join(60)
             stats = client.stats()
         assert cold["meta"]["warm"] is False
         assert warm["status"] == "ok" and warm["meta"]["warm"] is True
         assert busy == [True, True]
-        assert out["reply"][0]["status"] == "ok", out
         assert_bitwise(warm["result"], one_shot(self.JOB, tmp_path), "warm")
         assert stats["metrics"]["warm_hits"] == 1
         # The pool totals count the daemon's pool; no lane holds scf.
@@ -494,7 +440,7 @@ class TestWarmScf:
         with serving(tmp_path) as (handle, client):
             client.submit([self.JOB])
             impatient = ServeClient(handle.config.socket_path, timeout_s=10)
-            with occupy_lane0(client):
+            with occupy_lane(handle, client):
                 dropped = impatient.invalidate(scope="pool", key=None)
                 assert dropped == {"pool": 1, "artifacts": 0}
                 assert client.stats()["pool"]["entries"] == 0
@@ -513,7 +459,7 @@ class TestWarmScf:
 class TestRouting:
     def test_a_ground_state_stays_on_the_lane_that_built_it(self, tmp_path):
         with serving(tmp_path) as (handle, client):
-            with occupy_lane0(client):
+            with occupy_lane(handle, client):
                 client.submit([spectrum_job(8, 20)])
             qd = client.stats()["metrics"]["spectrum_qd_steps"]
             # Both lanes idle now: the owner takes it, and continues.
@@ -528,12 +474,30 @@ class TestRouting:
             assert lane1["pool"]["entries"] == 1
             assert lane1["pool"]["hits"] == 1
 
+    def test_an_evicted_key_takes_the_idle_lane(self, tmp_path):
+        """Lane 0 built a ground state and evicted it (one entry per
+        pool), so its next group runs on idle lane 1 at once rather than
+        waiting for its busy former builder."""
+        with serving(tmp_path, pool_entries=1) as (handle, client):
+            client.submit([spectrum_job(17, 20)])  # lane 0 builds it
+            client.submit([spectrum_job(18, 20)])  # lane 0 evicts it
+            impatient = ServeClient(handle.config.socket_path, timeout_s=10)
+            with occupy_lane(handle, client):
+                job = spectrum_job(17, 30)
+                (reply,) = impatient.submit([job])
+                stats = client.stats()
+        assert reply["meta"]["warm"] is False
+        assert_bitwise(reply["result"], one_shot(job, tmp_path), "evicted")
+        lane0, lane1 = stats["lanes"]
+        assert lane0["busy"] and lane0["pool"]["evictions"] == 1
+        assert lane1["groups"] == 1 and lane1["pool"]["entries"] == 1
+
     def test_jobs_waiting_for_a_lane_coalesce_across_batches(
             self, tmp_path, monkeypatch):
         """Compatible jobs of separate batches join one waiting group."""
         monkeypatch.setattr(daemon_module, "lane_count", lambda: 1)
         with serving(tmp_path) as (handle, client):
-            with occupy_lane0(client):
+            with occupy_lane(handle, client):
                 threads = []
                 for seed in (21, 22):
                     threads.append(submit_in_background(client, [
@@ -550,36 +514,57 @@ class TestRouting:
             assert_bitwise(reply["result"], one_shot(job, tmp_path), seed)
 
     def test_invalidate_and_stats_reach_every_lane(self, tmp_path):
+        """``invalidate`` answers for both lanes at once while both
+        compute held groups; no dropped entry shows in ``stats`` then or
+        after the held groups return, and a dropped ground state is next
+        built cold, on the lane that held it."""
         with serving(tmp_path) as (handle, client):
             client.submit([spectrum_job(9, 20)])          # lane 0
             impatient = ServeClient(handle.config.socket_path, timeout_s=10)
-            with occupy_lane0(client):
+            with contextlib.ExitStack() as hold0:
+                hold0.enter_context(occupy_lane(handle, client))
                 client.submit([spectrum_job(10, 20)])     # lane 1
-                stats = client.stats()
-                # Lane 0's pool answers while its thread computes.
-                dropped = impatient.invalidate(scope="pool")
-            assert [lane["pool"]["entries"] for lane in stats["lanes"]] \
-                == [1, 1]
-            assert stats["pool"]["entries"] == 2
-            for lane in stats["lanes"]:
-                assert lane["pid"] and lane["groups"] >= 1
-                assert lane["busy_s"] > 0 and lane["vmhwm_mb"] > 0
-            assert stats["lanes"][1]["pid"] != os.getpid()
-            assert dropped == {"pool": 2, "artifacts": 0}
-            assert client.stats()["pool"]["entries"] == 0
+                with occupy_lane(handle, client, 1):
+                    stats = client.stats()
+                    dropped = impatient.invalidate(scope="pool")
+                    at_once = client.stats()
+                    hold0.close()  # lane 0's held group returns
+                    returned = client.stats()
+                    job = spectrum_job(9, 20)
+                    (again,) = client.submit([job])  # lane 0: the idle one
+                    rebuilt = client.stats()
+            after = client.stats()
+        assert [lane["pool"]["entries"] for lane in stats["lanes"]] == [1, 1]
+        assert stats["pool"]["entries"] == 2
+        for lane in stats["lanes"]:
+            assert lane["pid"] not in (None, os.getpid())
+            assert lane["busy"] and lane["groups"] >= 1
+            assert lane["busy_s"] > 0 and lane["vmhwm_mb"] > 0
+        assert dropped == {"pool": 2, "artifacts": 0}
+        for snapshot in (at_once, returned):
+            assert [lane["pool"]["entries"] for lane in snapshot["lanes"]] \
+                == [0, 0]
+            assert snapshot["pool"]["entries"] == 0
+        assert [lane["busy"] for lane in returned["lanes"]] == [False, True]
+        assert again["meta"]["warm"] is False
+        assert_bitwise(again["result"], one_shot(job, tmp_path), "dropped")
+        assert [lane["pool"]["entries"] for lane in rebuilt["lanes"]] \
+            == [1, 0]
+        assert [lane["pool"]["entries"] for lane in after["lanes"]] == [1, 0]
 
 
 class TestTrace:
     def test_spans_from_both_lanes_reach_the_daemon_trace(self, tmp_path):
         with tracing() as tracer:
-            with serving(tmp_path) as (_, client):
+            with serving(tmp_path) as (handle, client):
                 client.submit([spectrum_job(11, 20)])      # lane 0
-                with occupy_lane0(client):
+                with occupy_lane(handle, client):
                     client.submit([spectrum_job(12, 20)])  # lane 1
                 end = time.perf_counter() - tracer.epoch
         jobs = [r for r in tracer.records if r.name == "serve.job"]
         assert {r.args["lane"] for r in jobs} == {0, 1}
-        lane1 = [r for r in tracer.records if r.args.get("lane") == 1]
-        assert {"serve.group", "serve.job"} <= {r.name for r in lane1}
-        for record in lane1:  # rebased onto this tracer's timeline
-            assert 0 < record.start < record.start + record.duration < end
+        for lane in (0, 1):
+            records = [r for r in tracer.records if r.args.get("lane") == lane]
+            assert {"serve.group", "serve.job"} <= {r.name for r in records}
+            for record in records:  # rebased onto this tracer's timeline
+                assert 0 < record.start < record.start + record.duration < end

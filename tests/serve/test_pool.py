@@ -43,19 +43,6 @@ def test_byte_budget_evicts_but_keeps_newest():
     assert len(pool) >= 1
 
 
-def test_get_or_create_builds_once_then_reuses():
-    pool = WarmStatePool()
-    calls = []
-
-    def factory():
-        calls.append(1)
-        return "built"
-
-    assert pool.get_or_create("k", factory) == "built"
-    assert pool.get_or_create("k", factory) == "built"
-    assert len(calls) == 1
-
-
 def test_invalidate_single_and_all():
     pool = WarmStatePool()
     pool.put("a", 1)
@@ -68,10 +55,11 @@ def test_invalidate_single_and_all():
 
 def test_keys_lru_order():
     pool = WarmStatePool()
-    pool.put("a", 1)
+    pool.put("a", 1, nbytes=lambda _: 3)
     pool.put("b", 2)
     pool.get("a")
-    assert pool.keys() == ["b", "a"]
+    assert list(pool.keys()) == ["b", "a"]
+    assert pool.keys() == {"a": 3, "b": 0}
 
 
 def test_constructor_validation():
